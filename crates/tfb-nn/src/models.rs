@@ -909,6 +909,65 @@ impl DeepModel {
         }
         Ok((inputs, targets))
     }
+
+    /// [`WindowForecaster::predict`] on the caller's tape, reset before
+    /// every forward, so one tape serves every channel of the window and
+    /// every window of a batch.
+    fn predict_on(&self, tape: &mut Tape, window: &[f64], dim: usize) -> Result<Vec<f64>> {
+        if !self.trained {
+            return Err(ModelError::NotTrained);
+        }
+        let l = self.lookback;
+        let f = self.horizon;
+        if self.kind.is_cross_channel() {
+            if dim != self.dim {
+                return Err(ModelError::InvalidParameter("dim differs from training"));
+            }
+            // RevIN per channel on the multivariate window.
+            let mut inp = vec![0.0; l * dim];
+            let mut stats = Vec::with_capacity(dim);
+            for c in 0..dim {
+                let ch: Vec<f64> = (0..l).map(|t| window[t * dim + c]).collect();
+                let (n, mean, std) = self.preprocess_input(&ch);
+                for t in 0..l {
+                    inp[t * dim + c] = n[t];
+                }
+                stats.push((mean, std));
+            }
+            tape.reset();
+            let out = self.forward(tape, &inp);
+            let mut y = tape.value(out).to_vec();
+            for (i, v) in y.iter_mut().enumerate() {
+                let (mean, std) = stats[i % dim];
+                *v = *v * std + mean;
+            }
+            debug_assert_eq!(y.len(), f * dim);
+            Ok(y)
+        } else {
+            let channels = tfb_models::window_channels(window, dim);
+            let mut per_channel = Vec::with_capacity(dim);
+            for ch in &channels {
+                if ch.len() != l {
+                    return Err(ModelError::InvalidParameter("window length != lookback"));
+                }
+                let (inp, mean, std) = self.preprocess_input(ch);
+                tape.reset();
+                let out = self.forward(tape, &inp);
+                let mut y = tape.value(out).to_vec();
+                match self.preprocess {
+                    Preprocess::None => {}
+                    Preprocess::RevIn => revin_denormalize(&mut y, mean, std),
+                    Preprocess::LastValue => {
+                        for v in y.iter_mut() {
+                            *v += mean;
+                        }
+                    }
+                }
+                per_channel.push(y);
+            }
+            Ok(tfb_models::interleave_channels(&per_channel))
+        }
+    }
 }
 
 impl DeepModel {
@@ -994,65 +1053,13 @@ impl WindowForecaster for DeepModel {
     }
 
     fn predict(&self, window: &[f64], dim: usize) -> Result<Vec<f64>> {
-        if !self.trained {
-            return Err(ModelError::NotTrained);
-        }
-        let l = self.lookback;
-        let f = self.horizon;
-        if self.kind.is_cross_channel() {
-            if dim != self.dim {
-                return Err(ModelError::InvalidParameter("dim differs from training"));
-            }
-            // RevIN per channel on the multivariate window.
-            let mut inp = vec![0.0; l * dim];
-            let mut stats = Vec::with_capacity(dim);
-            for c in 0..dim {
-                let ch: Vec<f64> = (0..l).map(|t| window[t * dim + c]).collect();
-                let (n, mean, std) = self.preprocess_input(&ch);
-                for t in 0..l {
-                    inp[t * dim + c] = n[t];
-                }
-                stats.push((mean, std));
-            }
-            let mut tape = Tape::new();
-            let out = self.forward(&mut tape, &inp);
-            let mut y = tape.value(out).to_vec();
-            for (i, v) in y.iter_mut().enumerate() {
-                let (mean, std) = stats[i % dim];
-                *v = *v * std + mean;
-            }
-            debug_assert_eq!(y.len(), f * dim);
-            Ok(y)
-        } else {
-            let channels = tfb_models::window_channels(window, dim);
-            let mut per_channel = Vec::with_capacity(dim);
-            for ch in &channels {
-                if ch.len() != l {
-                    return Err(ModelError::InvalidParameter("window length != lookback"));
-                }
-                let (inp, mean, std) = self.preprocess_input(ch);
-                let mut tape = Tape::new();
-                let out = self.forward(&mut tape, &inp);
-                let mut y = tape.value(out).to_vec();
-                match self.preprocess {
-                    Preprocess::None => {}
-                    Preprocess::RevIn => revin_denormalize(&mut y, mean, std),
-                    Preprocess::LastValue => {
-                        for v in y.iter_mut() {
-                            *v += mean;
-                        }
-                    }
-                }
-                per_channel.push(y);
-            }
-            Ok(tfb_models::interleave_channels(&per_channel))
-        }
+        self.predict_on(&mut Tape::new(), window, dim)
     }
 
     /// Batches all windows (and channels) through a single tape when the
     /// architecture is a pure row map; other architectures fall back to
-    /// per-window [`predict`]. Either way the results are bit-identical to
-    /// per-window inference.
+    /// per-window [`predict`] on one reused tape. Either way the results
+    /// are bit-identical to per-window inference.
     fn predict_batch(&self, windows: &Matrix, dim: usize) -> Result<Matrix> {
         if !self.trained {
             return Err(ModelError::NotTrained);
@@ -1065,8 +1072,9 @@ impl WindowForecaster for DeepModel {
         let n = windows.rows();
         let fallback = || -> Result<Matrix> {
             let mut out = Matrix::zeros(n, f * dim);
+            let mut tape = Tape::new();
             for r in 0..n {
-                let y = self.predict(windows.row(r), dim)?;
+                let y = self.predict_on(&mut tape, windows.row(r), dim)?;
                 out.data_mut()[r * f * dim..(r + 1) * f * dim].copy_from_slice(&y);
             }
             Ok(out)
@@ -1289,6 +1297,108 @@ mod tests {
         for (r, w) in rows.iter().enumerate() {
             let single = m.predict(w, 2).unwrap();
             assert_eq!(batched.row(r), single.as_slice(), "window {r}");
+        }
+    }
+
+    /// `Trainer::fit` as it ran before the tape arena: a fresh `Tape` for
+    /// every training sample and every validation window, without probes.
+    fn fit_with_fresh_tapes(
+        cfg: TrainConfig,
+        store: &mut ParamStore,
+        inputs: &[Vec<f64>],
+        targets: &[Vec<f64>],
+        forward: impl Fn(&mut Tape, &ParamStore, &[f64]) -> TensorRef,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let n = inputs.len();
+        let n_train = n - ((n as f64 * cfg.val_fraction) as usize).min(n - 1);
+        let mut order: Vec<usize> = (0..n_train).collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
+        let mut adam = crate::optim::Adam::new(cfg.lr);
+        let (mut best_val, mut best, mut stale) = (f64::INFINITY, store.snapshot(), 0);
+        for _ in 0..cfg.epochs {
+            for i in (1..order.len()).rev() {
+                let j = rng.gen_range(0..=i);
+                order.swap(i, j);
+            }
+            for batch in order.chunks(cfg.batch_size) {
+                store.zero_grads();
+                for &i in batch {
+                    let mut tape = Tape::new();
+                    let pred = forward(&mut tape, store, &inputs[i]);
+                    let (pr, pc) = tape.shape(pred);
+                    let t = tape.input(&targets[i], pr, pc);
+                    let d = tape.sub(pred, t);
+                    let sq = tape.mul_elem(d, d);
+                    let scaled = tape.scale(sq, 1.0 / batch.len() as f64);
+                    let loss = tape.mean_all(scaled);
+                    tape.backward(loss);
+                    tape.param_grads(store);
+                }
+                adam.step(store);
+            }
+            let mut val = 0.0;
+            for i in n_train..n {
+                let mut tape = Tape::new();
+                let pred = forward(&mut tape, store, &inputs[i]);
+                let p = tape.value(pred);
+                let sse: f64 = p
+                    .iter()
+                    .zip(&targets[i])
+                    .map(|(a, b)| (a - b) * (a - b))
+                    .sum();
+                val += sse / p.len() as f64;
+            }
+            val /= (n - n_train) as f64;
+            if val < best_val - 1e-9 {
+                (best_val, best, stale) = (val, store.snapshot(), 0);
+            } else {
+                stale += 1;
+                if stale > cfg.patience {
+                    break;
+                }
+            }
+        }
+        store.restore(&best);
+    }
+
+    #[test]
+    fn fit_on_one_reused_tape_matches_fresh_tapes_for_every_kind() {
+        // Every op the models use: GRU gates read their parameters several
+        // times per forward; MICN/TCN/N-HiTS run conv, pool and concat.
+        let s = sine_series(120, 12.0);
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 8,
+            max_samples: 40,
+            ..quick_config()
+        };
+        let bits = |m: &DeepModel| -> Vec<Vec<u64>> {
+            m.export_tensors()
+                .iter()
+                .map(|(v, _, _)| v.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        for kind in DeepModelKind::PAPER_BASELINES
+            .iter()
+            .copied()
+            .chain([DeepModelKind::Mlp])
+        {
+            let mut arena = DeepModel::new(kind, 24, 6, 1);
+            arena.config = cfg;
+            arena.train(&s).unwrap();
+            let mut fresh = DeepModel::new(kind, 24, 6, 1);
+            fresh.config = cfg;
+            let (inputs, targets) = fresh.training_pairs(&s).unwrap();
+            let (l, f, dim) = (fresh.lookback, fresh.horizon, fresh.dim);
+            let arch = &fresh.arch;
+            fit_with_fresh_tapes(cfg, &mut fresh.store, &inputs, &targets, |t, st, x| {
+                run_forward(arch, l, f, dim, t, st, x)
+            });
+            assert!(
+                bits(&arena) == bits(&fresh),
+                "{kind:?}: trained tensors differ"
+            );
         }
     }
 

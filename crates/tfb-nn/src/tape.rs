@@ -1,18 +1,31 @@
 //! A minimal define-by-run reverse-mode autodiff engine over 2-D tensors.
 //!
-//! Every forward pass builds a fresh [`Tape`]; [`Tape::backward`] walks the
-//! nodes in reverse, and [`Tape::param_grads`] hands the accumulated
-//! parameter gradients back to the [`crate::optim::ParamStore`]. Tensors
-//! are dense row-major `f64` matrices — large enough for the miniature
-//! forecasters, small enough to audit.
+//! A forward pass records nodes on a [`Tape`]; [`Tape::backward`] walks
+//! them in reverse, and [`Tape::param_grads`] hands the accumulated
+//! parameter gradients back to the [`crate::optim::ParamStore`].
+//! [`Tape::reset`] empties a tape but keeps every node's value and
+//! gradient buffer, so one tape serves a whole training run or a stream of
+//! inference windows: once the first pass has sized the buffers, later
+//! passes over the same graph allocate nothing. Tensors are dense
+//! row-major `f64` matrices — large enough for the miniature forecasters,
+//! small enough to audit.
+//!
+//! Only nodes that some parameter feeds receive gradients. Matrix-product
+//! gradients run on the shared GEMM kernel
+//! ([`tfb_math::matrix::par_gemm`]). Every gradient element still adds
+//! its terms in ascending order, starting from `+0.0`; the kernel's
+//! zero-skip drops only `±0` terms, which cannot change such a sum when
+//! the operands are finite, so the gradients equal the plain triple-loop
+//! formulas bit for bit.
 
 use crate::optim::{ParamId, ParamStore};
+use tfb_math::matrix::par_gemm;
 
 /// Handle to a node on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TensorRef(usize);
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Op {
     Leaf,
     MatMul(usize, usize),
@@ -40,53 +53,154 @@ enum Op {
     Reshape(usize),
 }
 
+impl Op {
+    /// The nodes this op reads.
+    fn inputs(self) -> [Option<usize>; 2] {
+        match self {
+            Op::Leaf => [None, None],
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::MulElem(a, b)
+            | Op::AddRowBroadcast(a, b)
+            | Op::MulRowBroadcast(a, b)
+            | Op::ConcatCols(a, b)
+            | Op::CausalConv1d { x: a, w: b, .. } => [Some(a), Some(b)],
+            Op::Scale(a, _)
+            | Op::Relu(a)
+            | Op::Tanh(a)
+            | Op::Sigmoid(a)
+            | Op::SoftmaxRows(a)
+            | Op::Transpose(a)
+            | Op::MeanAll(a)
+            | Op::LayerNormRows(a)
+            | Op::AvgPoolRows(a, _)
+            | Op::Reshape(a) => [Some(a), None],
+        }
+    }
+}
+
 struct Node {
-    value: Vec<f64>,
-    grad: Vec<f64>,
     rows: usize,
     cols: usize,
     op: Op,
     param: Option<ParamId>,
+    /// Whether some parameter feeds this node; only such nodes get
+    /// gradients.
+    needs_grad: bool,
 }
 
 /// The tape: an arena of nodes built during the forward pass.
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
+    /// Value buffer of node slot `i`. Slots past `nodes.len()` keep the
+    /// buffers of an earlier pass for reuse.
+    values: Vec<Vec<f64>>,
+    /// Gradient buffer of node slot `i`, sized by [`Tape::backward`].
+    grads: Vec<Vec<f64>>,
+    /// How many leading nodes the last [`Tape::backward`] gave gradients.
+    grads_valid: usize,
+    /// Scratch of the matmul backward: a transposed operand and a product.
+    transposed: Vec<f64>,
+    product: Vec<f64>,
 }
 
 impl Tape {
     /// Creates an empty tape.
     pub fn new() -> Tape {
-        Tape { nodes: Vec::new() }
+        Tape::default()
+    }
+
+    /// Empties the tape for the next pass. Every value and gradient buffer
+    /// is kept, so a pass over the same graph allocates nothing.
+    pub fn reset(&mut self) {
+        self.nodes.clear();
+        self.grads_valid = 0;
+    }
+
+    /// The value buffer of the next node slot: empty, with whatever
+    /// capacity an earlier pass left in it.
+    fn buffer(&mut self) -> Vec<f64> {
+        let mut buf = self
+            .values
+            .get_mut(self.nodes.len())
+            .map(std::mem::take)
+            .unwrap_or_default();
+        buf.clear();
+        buf
     }
 
     fn push(&mut self, value: Vec<f64>, rows: usize, cols: usize, op: Op) -> TensorRef {
         debug_assert_eq!(value.len(), rows * cols);
-        // Gradient buffers are allocated lazily by `backward`; forward-only
-        // tapes (inference) never pay for them.
+        let i = self.nodes.len();
+        let needs_grad = op
+            .inputs()
+            .into_iter()
+            .flatten()
+            .any(|p| self.nodes[p].needs_grad);
+        match self.values.get_mut(i) {
+            Some(slot) => *slot = value,
+            None => self.values.push(value),
+        }
+        // Gradient buffers are sized by `backward`; forward-only passes
+        // (inference, validation) never touch them.
         self.nodes.push(Node {
-            grad: Vec::new(),
-            value,
             rows,
             cols,
             op,
             param: None,
+            needs_grad,
         });
-        TensorRef(self.nodes.len() - 1)
+        TensorRef(i)
+    }
+
+    /// A node holding `f` of every element of `a`.
+    fn map(&mut self, a: TensorRef, op: Op, f: impl Fn(f64) -> f64) -> TensorRef {
+        let (r, c) = self.shape(a);
+        let mut v = self.buffer();
+        v.extend(self.values[a.0].iter().map(|&x| f(x)));
+        self.push(v, r, c, op)
+    }
+
+    /// A node holding `f` of every element pair of the same-shaped `a` and
+    /// `b`.
+    fn zip_map(
+        &mut self,
+        a: TensorRef,
+        b: TensorRef,
+        ctx: &str,
+        op: Op,
+        f: impl Fn(f64, f64) -> f64,
+    ) -> TensorRef {
+        let (r, c) = self.assert_same_shape(a, b, ctx);
+        let mut v = self.buffer();
+        v.extend(
+            self.values[a.0]
+                .iter()
+                .zip(&self.values[b.0])
+                .map(|(&x, &y)| f(x, y)),
+        );
+        self.push(v, r, c, op)
     }
 
     /// Loads a parameter onto the tape (gradients flow back to the store).
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> TensorRef {
         let (value, rows, cols) = store.get(id);
-        let r = self.push(value.to_vec(), rows, cols, Op::Leaf);
-        self.nodes[r.0].param = Some(id);
+        let mut v = self.buffer();
+        v.extend_from_slice(value);
+        let r = self.push(v, rows, cols, Op::Leaf);
+        let node = &mut self.nodes[r.0];
+        node.param = Some(id);
+        node.needs_grad = true;
         r
     }
 
     /// Loads constant input data (no gradient).
     pub fn input(&mut self, data: &[f64], rows: usize, cols: usize) -> TensorRef {
-        self.push(data.to_vec(), rows, cols, Op::Leaf)
+        let mut v = self.buffer();
+        v.extend_from_slice(data);
+        self.push(v, rows, cols, Op::Leaf)
     }
 
     /// Loads constant input data by taking ownership of the buffer —
@@ -102,7 +216,7 @@ impl Tape {
 
     /// Value of a tensor.
     pub fn value(&self, t: TensorRef) -> &[f64] {
-        &self.nodes[t.0].value
+        &self.values[t.0]
     }
 
     /// Matrix product.
@@ -115,59 +229,30 @@ impl Tape {
         // ascending order with the same zero-skip as the historical ikj
         // loop here, so single-row and batched forwards agree to the last
         // bit at any thread count.
-        let mut out = vec![0.0; ar * bc];
-        tfb_math::matrix::par_gemm(
-            &self.nodes[a.0].value,
-            ar,
-            ac,
-            &self.nodes[b.0].value,
-            bc,
-            &mut out,
-        );
+        let mut out = self.buffer();
+        out.resize(ar * bc, 0.0);
+        par_gemm(&self.values[a.0], ar, ac, &self.values[b.0], bc, &mut out);
         self.push(out, ar, bc, Op::MatMul(a.0, b.0))
     }
 
     /// Elementwise sum (same shape).
     pub fn add(&mut self, a: TensorRef, b: TensorRef) -> TensorRef {
-        let (r, c) = self.assert_same_shape(a, b, "add");
-        let v: Vec<f64> = self.nodes[a.0]
-            .value
-            .iter()
-            .zip(&self.nodes[b.0].value)
-            .map(|(x, y)| x + y)
-            .collect();
-        self.push(v, r, c, Op::Add(a.0, b.0))
+        self.zip_map(a, b, "add", Op::Add(a.0, b.0), |x, y| x + y)
     }
 
     /// Elementwise difference (same shape).
     pub fn sub(&mut self, a: TensorRef, b: TensorRef) -> TensorRef {
-        let (r, c) = self.assert_same_shape(a, b, "sub");
-        let v: Vec<f64> = self.nodes[a.0]
-            .value
-            .iter()
-            .zip(&self.nodes[b.0].value)
-            .map(|(x, y)| x - y)
-            .collect();
-        self.push(v, r, c, Op::Sub(a.0, b.0))
+        self.zip_map(a, b, "sub", Op::Sub(a.0, b.0), |x, y| x - y)
     }
 
     /// Elementwise product (same shape).
     pub fn mul_elem(&mut self, a: TensorRef, b: TensorRef) -> TensorRef {
-        let (r, c) = self.assert_same_shape(a, b, "mul_elem");
-        let v: Vec<f64> = self.nodes[a.0]
-            .value
-            .iter()
-            .zip(&self.nodes[b.0].value)
-            .map(|(x, y)| x * y)
-            .collect();
-        self.push(v, r, c, Op::MulElem(a.0, b.0))
+        self.zip_map(a, b, "mul_elem", Op::MulElem(a.0, b.0), |x, y| x * y)
     }
 
     /// Scalar multiple.
     pub fn scale(&mut self, a: TensorRef, s: f64) -> TensorRef {
-        let (r, c) = self.shape(a);
-        let v: Vec<f64> = self.nodes[a.0].value.iter().map(|x| x * s).collect();
-        self.push(v, r, c, Op::Scale(a.0, s))
+        self.map(a, Op::Scale(a.0, s), |x| x * s)
     }
 
     /// Adds a `1 x cols` row vector to every row of `a`.
@@ -175,8 +260,9 @@ impl Tape {
         let (r, c) = self.shape(a);
         let (br, bc) = self.shape(bias);
         assert!(br == 1 && bc == c, "bias must be 1 x cols");
-        let mut v = self.nodes[a.0].value.clone();
-        let bv = &self.nodes[bias.0].value;
+        let mut v = self.buffer();
+        v.extend_from_slice(&self.values[a.0]);
+        let bv = &self.values[bias.0];
         for row in v.chunks_exact_mut(c) {
             for (x, b) in row.iter_mut().zip(bv) {
                 *x += b;
@@ -190,8 +276,9 @@ impl Tape {
         let (r, c) = self.shape(a);
         let (gr, gc) = self.shape(gain);
         assert!(gr == 1 && gc == c, "gain must be 1 x cols");
-        let mut v = self.nodes[a.0].value.clone();
-        let gv = &self.nodes[gain.0].value;
+        let mut v = self.buffer();
+        v.extend_from_slice(&self.values[a.0]);
+        let gv = &self.values[gain.0];
         for row in v.chunks_exact_mut(c) {
             for (x, g) in row.iter_mut().zip(gv) {
                 *x *= g;
@@ -202,33 +289,24 @@ impl Tape {
 
     /// ReLU.
     pub fn relu(&mut self, a: TensorRef) -> TensorRef {
-        let (r, c) = self.shape(a);
-        let v: Vec<f64> = self.nodes[a.0].value.iter().map(|x| x.max(0.0)).collect();
-        self.push(v, r, c, Op::Relu(a.0))
+        self.map(a, Op::Relu(a.0), |x| x.max(0.0))
     }
 
     /// Tanh.
     pub fn tanh(&mut self, a: TensorRef) -> TensorRef {
-        let (r, c) = self.shape(a);
-        let v: Vec<f64> = self.nodes[a.0].value.iter().map(|x| x.tanh()).collect();
-        self.push(v, r, c, Op::Tanh(a.0))
+        self.map(a, Op::Tanh(a.0), f64::tanh)
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: TensorRef) -> TensorRef {
-        let (r, c) = self.shape(a);
-        let v: Vec<f64> = self.nodes[a.0]
-            .value
-            .iter()
-            .map(|x| 1.0 / (1.0 + (-x).exp()))
-            .collect();
-        self.push(v, r, c, Op::Sigmoid(a.0))
+        self.map(a, Op::Sigmoid(a.0), |x| 1.0 / (1.0 + (-x).exp()))
     }
 
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: TensorRef) -> TensorRef {
         let (r, c) = self.shape(a);
-        let mut v = self.nodes[a.0].value.clone();
+        let mut v = self.buffer();
+        v.extend_from_slice(&self.values[a.0]);
         for row in v.chunks_mut(c) {
             let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             let mut sum = 0.0;
@@ -246,21 +324,18 @@ impl Tape {
     /// Transpose.
     pub fn transpose(&mut self, a: TensorRef) -> TensorRef {
         let (r, c) = self.shape(a);
-        let av = &self.nodes[a.0].value;
-        let mut v = vec![0.0; r * c];
-        for i in 0..r {
-            for j in 0..c {
-                v[j * r + i] = av[i * c + j];
-            }
-        }
+        let mut v = self.buffer();
+        transpose_into(&self.values[a.0], r, c, &mut v);
         self.push(v, c, r, Op::Transpose(a.0))
     }
 
     /// Mean over all elements (returns a 1x1 tensor; the usual loss head).
     pub fn mean_all(&mut self, a: TensorRef) -> TensorRef {
-        let n = self.nodes[a.0].value.len() as f64;
-        let m = self.nodes[a.0].value.iter().sum::<f64>() / n;
-        self.push(vec![m], 1, 1, Op::MeanAll(a.0))
+        let n = self.values[a.0].len() as f64;
+        let m = self.values[a.0].iter().sum::<f64>() / n;
+        let mut v = self.buffer();
+        v.push(m);
+        self.push(v, 1, 1, Op::MeanAll(a.0))
     }
 
     /// Concatenates columns: `[a | b]` (same row count).
@@ -268,10 +343,10 @@ impl Tape {
         let (ar, ac) = self.shape(a);
         let (br, bc) = self.shape(b);
         assert_eq!(ar, br, "concat_cols row mismatch");
-        let mut v = Vec::with_capacity(ar * (ac + bc));
+        let mut v = self.buffer();
         for i in 0..ar {
-            v.extend_from_slice(&self.nodes[a.0].value[i * ac..(i + 1) * ac]);
-            v.extend_from_slice(&self.nodes[b.0].value[i * bc..(i + 1) * bc]);
+            v.extend_from_slice(&self.values[a.0][i * ac..(i + 1) * ac]);
+            v.extend_from_slice(&self.values[b.0][i * bc..(i + 1) * bc]);
         }
         self.push(v, ar, ac + bc, Op::ConcatCols(a.0, b.0))
     }
@@ -280,7 +355,8 @@ impl Tape {
     /// [`Tape::mul_row_broadcast`] / [`Tape::add_row_broadcast`] for one).
     pub fn layer_norm_rows(&mut self, a: TensorRef) -> TensorRef {
         let (r, c) = self.shape(a);
-        let mut v = self.nodes[a.0].value.clone();
+        let mut v = self.buffer();
+        v.extend_from_slice(&self.values[a.0]);
         for row in v.chunks_mut(c) {
             let mean = row.iter().sum::<f64>() / c as f64;
             let var = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / c as f64;
@@ -298,8 +374,9 @@ impl Tape {
         assert!(stride >= 1, "stride must be >= 1");
         let (r, c) = self.shape(a);
         let out_rows = r.div_ceil(stride);
-        let mut v = vec![0.0; out_rows * c];
-        let av = &self.nodes[a.0].value;
+        let mut v = self.buffer();
+        v.resize(out_rows * c, 0.0);
+        let av = &self.values[a.0];
         for g in 0..out_rows {
             let start = g * stride;
             let end = (start + stride).min(r);
@@ -330,9 +407,10 @@ impl Tape {
         let (wr, out_ch) = self.shape(w);
         assert_eq!(wr, kernel * in_ch, "conv weight shape");
         assert!(dilation >= 1);
-        let xv = &self.nodes[x.0].value;
-        let wv = &self.nodes[w.0].value;
-        let mut v = vec![0.0; seq * out_ch];
+        let mut v = self.buffer();
+        v.resize(seq * out_ch, 0.0);
+        let xv = &self.values[x.0];
+        let wv = &self.values[w.0];
         for t in 0..seq {
             for k in 0..kernel {
                 let offset = k * dilation;
@@ -371,7 +449,8 @@ impl Tape {
     pub fn reshape(&mut self, a: TensorRef, rows: usize, cols: usize) -> TensorRef {
         let (r, c) = self.shape(a);
         assert_eq!(r * c, rows * cols, "reshape element count mismatch");
-        let v = self.nodes[a.0].value.clone();
+        let mut v = self.buffer();
+        v.extend_from_slice(&self.values[a.0]);
         self.push(v, rows, cols, Op::Reshape(a.0))
     }
 
@@ -386,130 +465,139 @@ impl Tape {
     /// gradients are available via [`Tape::param_grads`].
     pub fn backward(&mut self, loss: TensorRef) {
         assert_eq!(self.shape(loss), (1, 1), "loss must be scalar");
-        for n in self.nodes.iter_mut() {
-            if n.grad.len() == n.value.len() {
-                n.grad.iter_mut().for_each(|g| *g = 0.0);
-            } else {
-                n.grad = vec![0.0; n.value.len()];
+        let n = self.nodes.len();
+        if self.grads.len() < n {
+            self.grads.resize_with(n, Vec::new);
+        }
+        for ((node, value), grad) in self.nodes.iter().zip(&self.values).zip(&mut self.grads) {
+            grad.clear();
+            if node.needs_grad {
+                grad.resize(value.len(), 0.0);
             }
         }
-        self.nodes[loss.0].grad[0] = 1.0;
-        for idx in (0..self.nodes.len()).rev() {
-            let op = self.nodes[idx].op.clone();
-            let grad = self.nodes[idx].grad.clone();
+        self.grads_valid = n;
+        if !self.nodes[loss.0].needs_grad {
+            return;
+        }
+        self.grads[loss.0][0] = 1.0;
+        let (nodes, values) = (&self.nodes, &self.values);
+        let wants = |p: usize| nodes[p].needs_grad;
+        for idx in (0..=loss.0).rev() {
+            let node = &nodes[idx];
+            if !node.needs_grad {
+                continue;
+            }
+            // Inputs precede their node, so the node's own gradient and
+            // its inputs' gradients sit on opposite sides of the split.
+            let (grads, rest) = self.grads.split_at_mut(idx);
+            let grad = rest[0].as_slice();
             if grad.iter().all(|&g| g == 0.0) {
                 continue;
             }
-            match op {
+            // A single-input op that needs a gradient has an input that
+            // needs one too; two-input ops check each side.
+            match node.op {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => {
-                    let (ar, ac) = (self.nodes[a].rows, self.nodes[a].cols);
-                    let bc = self.nodes[b].cols;
-                    // dA = dOut * B^T ; dB = A^T * dOut
-                    let bv = self.nodes[b].value.clone();
-                    let av = self.nodes[a].value.clone();
-                    {
-                        let ga = &mut self.nodes[a].grad;
-                        for i in 0..ar {
-                            for k in 0..ac {
-                                let mut acc = 0.0;
-                                for j in 0..bc {
-                                    acc += grad[i * bc + j] * bv[k * bc + j];
-                                }
-                                ga[i * ac + k] += acc;
-                            }
-                        }
+                    let (ar, ac, bc) = (nodes[a].rows, nodes[a].cols, nodes[b].cols);
+                    if wants(a) {
+                        // dA = dOut · Bᵀ
+                        let bt = transposed(&values[b], ac, bc, &mut self.transposed);
+                        gemm_acc(grad, ar, bc, bt, ac, &mut self.product, &mut grads[a]);
                     }
-                    {
-                        let gb = &mut self.nodes[b].grad;
-                        for k in 0..ac {
-                            for j in 0..bc {
-                                let mut acc = 0.0;
-                                for i in 0..ar {
-                                    acc += av[i * ac + k] * grad[i * bc + j];
-                                }
-                                gb[k * bc + j] += acc;
-                            }
-                        }
+                    if wants(b) {
+                        // dB = Aᵀ · dOut
+                        let at = transposed(&values[a], ar, ac, &mut self.transposed);
+                        gemm_acc(at, ac, ar, grad, bc, &mut self.product, &mut grads[b]);
                     }
                 }
                 Op::Add(a, b) => {
-                    for (g, &d) in self.nodes[a].grad.iter_mut().zip(&grad) {
-                        *g += d;
-                    }
-                    for (g, &d) in self.nodes[b].grad.iter_mut().zip(&grad) {
-                        *g += d;
+                    for p in [a, b] {
+                        if wants(p) {
+                            for (g, &d) in grads[p].iter_mut().zip(grad) {
+                                *g += d;
+                            }
+                        }
                     }
                 }
                 Op::Sub(a, b) => {
-                    for (g, &d) in self.nodes[a].grad.iter_mut().zip(&grad) {
-                        *g += d;
+                    if wants(a) {
+                        for (g, &d) in grads[a].iter_mut().zip(grad) {
+                            *g += d;
+                        }
                     }
-                    for (g, &d) in self.nodes[b].grad.iter_mut().zip(&grad) {
-                        *g -= d;
+                    if wants(b) {
+                        for (g, &d) in grads[b].iter_mut().zip(grad) {
+                            *g -= d;
+                        }
                     }
                 }
                 Op::MulElem(a, b) => {
-                    let bv = self.nodes[b].value.clone();
-                    let av = self.nodes[a].value.clone();
-                    for ((g, &d), &x) in self.nodes[a].grad.iter_mut().zip(&grad).zip(&bv) {
-                        *g += d * x;
-                    }
-                    for ((g, &d), &x) in self.nodes[b].grad.iter_mut().zip(&grad).zip(&av) {
-                        *g += d * x;
+                    for (p, other) in [(a, b), (b, a)] {
+                        if wants(p) {
+                            let ov = &values[other];
+                            for ((g, &d), &x) in grads[p].iter_mut().zip(grad).zip(ov) {
+                                *g += d * x;
+                            }
+                        }
                     }
                 }
                 Op::Scale(a, s) => {
-                    for (g, &d) in self.nodes[a].grad.iter_mut().zip(&grad) {
+                    for (g, &d) in grads[a].iter_mut().zip(grad) {
                         *g += d * s;
                     }
                 }
                 Op::AddRowBroadcast(a, bias) => {
-                    let c = self.nodes[idx].cols;
-                    for (g, &d) in self.nodes[a].grad.iter_mut().zip(&grad) {
-                        *g += d;
+                    let c = node.cols;
+                    if wants(a) {
+                        for (g, &d) in grads[a].iter_mut().zip(grad) {
+                            *g += d;
+                        }
                     }
-                    let gb = &mut self.nodes[bias].grad;
-                    for (i, &d) in grad.iter().enumerate() {
-                        gb[i % c] += d;
+                    if wants(bias) {
+                        let gb = &mut grads[bias];
+                        for (i, &d) in grad.iter().enumerate() {
+                            gb[i % c] += d;
+                        }
                     }
                 }
                 Op::MulRowBroadcast(a, gain) => {
-                    let c = self.nodes[idx].cols;
-                    let gv = self.nodes[gain].value.clone();
-                    let av = self.nodes[a].value.clone();
-                    for (i, &d) in grad.iter().enumerate() {
-                        self.nodes[a].grad[i] += d * gv[i % c];
+                    let c = node.cols;
+                    if wants(a) {
+                        let (ga, gv) = (&mut grads[a], &values[gain]);
+                        for (i, &d) in grad.iter().enumerate() {
+                            ga[i] += d * gv[i % c];
+                        }
                     }
-                    for (i, &d) in grad.iter().enumerate() {
-                        self.nodes[gain].grad[i % c] += d * av[i];
+                    if wants(gain) {
+                        let (gg, av) = (&mut grads[gain], &values[a]);
+                        for (i, &d) in grad.iter().enumerate() {
+                            gg[i % c] += d * av[i];
+                        }
                     }
                 }
                 Op::Relu(a) => {
-                    let av = self.nodes[a].value.clone();
-                    for ((g, &d), &x) in self.nodes[a].grad.iter_mut().zip(&grad).zip(&av) {
+                    for ((g, &d), &x) in grads[a].iter_mut().zip(grad).zip(&values[a]) {
                         if x > 0.0 {
                             *g += d;
                         }
                     }
                 }
                 Op::Tanh(a) => {
-                    let yv = self.nodes[idx].value.clone();
-                    for ((g, &d), &y) in self.nodes[a].grad.iter_mut().zip(&grad).zip(&yv) {
+                    for ((g, &d), &y) in grads[a].iter_mut().zip(grad).zip(&values[idx]) {
                         *g += d * (1.0 - y * y);
                     }
                 }
                 Op::Sigmoid(a) => {
-                    let yv = self.nodes[idx].value.clone();
-                    for ((g, &d), &y) in self.nodes[a].grad.iter_mut().zip(&grad).zip(&yv) {
+                    for ((g, &d), &y) in grads[a].iter_mut().zip(grad).zip(&values[idx]) {
                         *g += d * y * (1.0 - y);
                     }
                 }
                 Op::SoftmaxRows(a) => {
-                    let c = self.nodes[idx].cols;
-                    let yv = self.nodes[idx].value.clone();
-                    let ga = &mut self.nodes[a].grad;
-                    for (row_i, (yrow, drow)) in yv.chunks(c).zip(grad.chunks(c)).enumerate() {
+                    let c = node.cols;
+                    let ga = &mut grads[a];
+                    let rows = values[idx].chunks(c).zip(grad.chunks(c));
+                    for (row_i, (yrow, drow)) in rows.enumerate() {
                         let dot: f64 = yrow.iter().zip(drow).map(|(y, d)| y * d).sum();
                         for j in 0..c {
                             ga[row_i * c + j] += yrow[j] * (drow[j] - dot);
@@ -517,8 +605,8 @@ impl Tape {
                     }
                 }
                 Op::Transpose(a) => {
-                    let (r, c) = (self.nodes[idx].rows, self.nodes[idx].cols);
-                    let ga = &mut self.nodes[a].grad;
+                    let (r, c) = (node.rows, node.cols);
+                    let ga = &mut grads[a];
                     for i in 0..r {
                         for j in 0..c {
                             ga[j * r + i] += grad[i * c + j];
@@ -526,48 +614,49 @@ impl Tape {
                     }
                 }
                 Op::MeanAll(a) => {
-                    let n = self.nodes[a].value.len() as f64;
-                    let d = grad[0] / n;
-                    for g in self.nodes[a].grad.iter_mut() {
+                    let d = grad[0] / values[a].len() as f64;
+                    for g in grads[a].iter_mut() {
                         *g += d;
                     }
                 }
                 Op::ConcatCols(a, b) => {
-                    let ac = self.nodes[a].cols;
-                    let bc = self.nodes[b].cols;
-                    let rows = self.nodes[idx].rows;
-                    for i in 0..rows {
-                        for j in 0..ac {
-                            self.nodes[a].grad[i * ac + j] += grad[i * (ac + bc) + j];
+                    let (ac, bc) = (nodes[a].cols, nodes[b].cols);
+                    for i in 0..node.rows {
+                        if wants(a) {
+                            for j in 0..ac {
+                                grads[a][i * ac + j] += grad[i * (ac + bc) + j];
+                            }
                         }
-                        for j in 0..bc {
-                            self.nodes[b].grad[i * bc + j] += grad[i * (ac + bc) + ac + j];
+                        if wants(b) {
+                            for j in 0..bc {
+                                grads[b][i * bc + j] += grad[i * (ac + bc) + ac + j];
+                            }
                         }
                     }
                 }
                 Op::LayerNormRows(a) => {
-                    let c = self.nodes[idx].cols;
-                    let av = self.nodes[a].value.clone();
-                    let ga = &mut self.nodes[a].grad;
-                    for (row_i, (arow, drow)) in av.chunks(c).zip(grad.chunks(c)).enumerate() {
-                        let mean = arow.iter().sum::<f64>() / c as f64;
-                        let var =
-                            arow.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / c as f64;
+                    let c = node.cols;
+                    let cf = c as f64;
+                    let ga = &mut grads[a];
+                    let rows = values[a].chunks(c).zip(grad.chunks(c));
+                    for (row_i, (arow, drow)) in rows.enumerate() {
+                        let mean = arow.iter().sum::<f64>() / cf;
+                        let var = arow.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / cf;
                         let inv = 1.0 / (var + 1e-5).sqrt();
-                        let xhat: Vec<f64> = arow.iter().map(|x| (x - mean) * inv).collect();
+                        let xhat = |j: usize| (arow[j] - mean) * inv;
                         let dsum: f64 = drow.iter().sum();
-                        let dxhat_dot: f64 = drow.iter().zip(&xhat).map(|(d, x)| d * x).sum();
+                        let dxhat_dot: f64 =
+                            drow.iter().enumerate().map(|(j, d)| d * xhat(j)).sum();
                         for j in 0..c {
                             ga[row_i * c + j] +=
-                                inv / c as f64 * (c as f64 * drow[j] - dsum - xhat[j] * dxhat_dot);
+                                inv / cf * (cf * drow[j] - dsum - xhat(j) * dxhat_dot);
                         }
                     }
                 }
                 Op::AvgPoolRows(a, stride) => {
-                    let (r, c) = (self.nodes[a].rows, self.nodes[a].cols);
-                    let ga = &mut self.nodes[a].grad;
-                    let out_rows = r.div_ceil(stride);
-                    for g in 0..out_rows {
+                    let (r, c) = (nodes[a].rows, nodes[a].cols);
+                    let ga = &mut grads[a];
+                    for g in 0..r.div_ceil(stride) {
                         let start = g * stride;
                         let end = (start + stride).min(r);
                         let k = (end - start) as f64;
@@ -579,7 +668,7 @@ impl Tape {
                     }
                 }
                 Op::Reshape(a) => {
-                    for (g, &d) in self.nodes[a].grad.iter_mut().zip(&grad) {
+                    for (g, &d) in grads[a].iter_mut().zip(grad) {
                         *g += d;
                     }
                 }
@@ -589,11 +678,11 @@ impl Tape {
                     kernel,
                     dilation,
                 } => {
-                    let (seq, in_ch) = (self.nodes[x].rows, self.nodes[x].cols);
-                    let out_ch = self.nodes[idx].cols;
-                    let xv = self.nodes[x].value.clone();
-                    let wv = self.nodes[w].value.clone();
+                    let (seq, in_ch) = (nodes[x].rows, nodes[x].cols);
+                    let out_ch = node.cols;
+                    let (xv, wv) = (&values[x], &values[w]);
                     for t in 0..seq {
+                        let drow = &grad[t * out_ch..(t + 1) * out_ch];
                         for k in 0..kernel {
                             let offset = k * dilation;
                             if offset > t {
@@ -602,13 +691,20 @@ impl Tape {
                             let src = t - offset;
                             for ic in 0..in_ch {
                                 let wbase = (k * in_ch + ic) * out_ch;
-                                let mut gx = 0.0;
-                                for oc in 0..out_ch {
-                                    let d = grad[t * out_ch + oc];
-                                    gx += d * wv[wbase + oc];
-                                    self.nodes[w].grad[wbase + oc] += d * xv[src * in_ch + ic];
+                                if wants(w) {
+                                    let xval = xv[src * in_ch + ic];
+                                    let gw = &mut grads[w][wbase..wbase + out_ch];
+                                    for (g, &d) in gw.iter_mut().zip(drow) {
+                                        *g += d * xval;
+                                    }
                                 }
-                                self.nodes[x].grad[src * in_ch + ic] += gx;
+                                if wants(x) {
+                                    let mut acc = 0.0;
+                                    for (&d, &ww) in drow.iter().zip(&wv[wbase..wbase + out_ch]) {
+                                        acc += d * ww;
+                                    }
+                                    grads[x][src * in_ch + ic] += acc;
+                                }
                             }
                         }
                     }
@@ -619,17 +715,58 @@ impl Tape {
 
     /// Accumulates the gradients of parameter leaves into the store.
     ///
-    /// A forward-only tape (no [`Tape::backward`] call) has no gradient
-    /// buffers and contributes nothing.
+    /// Contributes nothing unless [`Tape::backward`] ran since the last
+    /// [`Tape::reset`]: a forward-only pass never hands back the stale
+    /// gradients of an earlier one.
     pub fn param_grads(&self, store: &mut ParamStore) {
-        for n in &self.nodes {
-            if let Some(id) = n.param {
-                if n.grad.is_empty() {
-                    continue;
-                }
-                store.accumulate_grad(id, &n.grad);
+        for (node, grad) in self.nodes[..self.grads_valid].iter().zip(&self.grads) {
+            if let Some(id) = node.param {
+                store.accumulate_grad(id, grad);
             }
         }
+    }
+}
+
+/// Writes the transpose of the row-major `rows x cols` matrix `m` into
+/// `out`.
+fn transpose_into(m: &[f64], rows: usize, cols: usize, out: &mut Vec<f64>) {
+    out.clear();
+    out.resize(rows * cols, 0.0);
+    for i in 0..rows {
+        for j in 0..cols {
+            out[j * rows + i] = m[i * cols + j];
+        }
+    }
+}
+
+/// The transpose of the row-major `rows x cols` matrix `m`: `m` itself for
+/// a single row or column (same memory layout), otherwise built in
+/// `scratch`.
+fn transposed<'a>(m: &'a [f64], rows: usize, cols: usize, scratch: &'a mut Vec<f64>) -> &'a [f64] {
+    if rows == 1 || cols == 1 {
+        return m;
+    }
+    transpose_into(m, rows, cols, scratch);
+    scratch
+}
+
+/// `acc += lhs · rhs` for `lhs` `rows x depth` and `rhs` `depth x cols`.
+/// The product is formed in `scratch` first, so every element of `acc`
+/// receives one complete sum, as it would from a triple loop.
+fn gemm_acc(
+    lhs: &[f64],
+    rows: usize,
+    depth: usize,
+    rhs: &[f64],
+    cols: usize,
+    scratch: &mut Vec<f64>,
+    acc: &mut [f64],
+) {
+    scratch.clear();
+    scratch.resize(rows * cols, 0.0);
+    par_gemm(lhs, rows, depth, rhs, cols, scratch);
+    for (g, &p) in acc.iter_mut().zip(scratch.iter()) {
+        *g += p;
     }
 }
 
@@ -637,6 +774,7 @@ impl Tape {
 mod tests {
     use super::*;
     use crate::optim::ParamStore;
+    use proptest::prelude::*;
 
     /// Finite-difference gradient check for a scalar function of one
     /// parameter tensor.
@@ -787,5 +925,165 @@ mod tests {
         let p = tape.avg_pool_rows(x, 2);
         assert_eq!(tape.shape(p), (3, 1));
         assert_eq!(tape.value(p), &[1.5, 3.5, 5.0]);
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The matmul gradients as plain triple loops over the operands — how
+    /// the tape computed them before they moved onto the GEMM kernel.
+    /// Kept only as the reference for the property below.
+    fn triple_loop_grads(
+        av: &[f64],
+        bv: &[f64],
+        grad: &[f64],
+        (ar, ac, bc): (usize, usize, usize),
+    ) -> (Vec<f64>, Vec<f64>) {
+        let mut ga = vec![0.0; ar * ac];
+        for i in 0..ar {
+            for k in 0..ac {
+                let mut acc = 0.0;
+                for j in 0..bc {
+                    acc += grad[i * bc + j] * bv[k * bc + j];
+                }
+                ga[i * ac + k] += acc;
+            }
+        }
+        let mut gb = vec![0.0; ac * bc];
+        for k in 0..ac {
+            for j in 0..bc {
+                let mut acc = 0.0;
+                for i in 0..ar {
+                    acc += av[i * ac + k] * grad[i * bc + j];
+                }
+                gb[k * bc + j] += acc;
+            }
+        }
+        (ga, gb)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn matmul_grads_equal_the_triple_loops(
+            ar in 1usize..6,
+            ac in 1usize..10,
+            bc in 1usize..140,
+            pool in proptest::collection::vec(-2.0f64..2.0, 2520),
+        ) {
+            // ReLU on both operands and on the product puts exact zeros
+            // into A, B and dOut, where the kernel's zero-skip engages;
+            // widths up to 139 cross its 4-wide blocks and 128-deep tiles.
+            let mut store = ParamStore::new(0);
+            let (a_len, b_len) = (ar * ac, ac * bc);
+            let pa = store.add_raw(pool[..a_len].to_vec(), ar, ac);
+            let pb = store.add_raw(pool[a_len..a_len + b_len].to_vec(), ac, bc);
+            let weights = &pool[a_len + b_len..a_len + b_len + ar * bc];
+            let mut tape = Tape::new();
+            let (xa, xb) = (tape.param(&store, pa), tape.param(&store, pb));
+            let (a, b) = (tape.relu(xa), tape.relu(xb));
+            let out = tape.matmul(a, b);
+            let y = tape.relu(out);
+            let w = tape.input(weights, ar, bc);
+            let yw = tape.mul_elem(y, w);
+            let loss = tape.mean_all(yw);
+            tape.backward(loss);
+            let (want_a, want_b) = triple_loop_grads(
+                tape.value(a),
+                tape.value(b),
+                &tape.grads[out.0],
+                (ar, ac, bc),
+            );
+            prop_assert!(
+                bits(&tape.grads[a.0]) == bits(&want_a),
+                "dA differs for {ar}x{ac} * {ac}x{bc}"
+            );
+            prop_assert!(
+                bits(&tape.grads[b.0]) == bits(&want_b),
+                "dB differs for {ar}x{ac} * {ac}x{bc}"
+            );
+        }
+    }
+
+    /// Two graphs of different shapes and lengths over shared parameters.
+    fn small_graph(tape: &mut Tape, store: &ParamStore, ids: &[ParamId]) -> TensorRef {
+        let x = tape.input(&[0.5, -1.0, 0.25, 2.0, 1.5, -0.5, 0.0, 1.0], 2, 4);
+        let w = tape.param(store, ids[0]);
+        let h = tape.matmul(x, w);
+        let h = tape.tanh(h);
+        let sq = tape.mul_elem(h, h);
+        tape.mean_all(sq)
+    }
+
+    fn large_graph(tape: &mut Tape, store: &ParamStore, ids: &[ParamId]) -> TensorRef {
+        let x = tape.input(
+            &[
+                0.3, -0.7, 1.1, 0.2, -1.3, 0.8, 0.05, 0.6, 0.9, -0.4, 0.0, 1.2,
+            ],
+            3,
+            4,
+        );
+        let w1 = tape.param(store, ids[0]);
+        let h = tape.matmul(x, w1);
+        let h = tape.relu(h);
+        let w2 = tape.param(store, ids[1]);
+        let h = tape.matmul(h, w2);
+        let h = tape.layer_norm_rows(h);
+        let g = tape.param(store, ids[2]);
+        let h = tape.mul_row_broadcast(h, g);
+        let s = tape.softmax_rows(h);
+        let pooled = tape.avg_pool_rows(s, 2);
+        let t = tape.transpose(pooled);
+        let flat = tape.reshape(t, 1, 10);
+        let sig = tape.sigmoid(flat);
+        tape.mean_all(sig)
+    }
+
+    type Graph = fn(&mut Tape, &ParamStore, &[ParamId]) -> TensorRef;
+
+    /// Every node value and every parameter gradient of one pass.
+    fn pass(
+        tape: &mut Tape,
+        store: &mut ParamStore,
+        ids: &[ParamId],
+        graph: Graph,
+    ) -> Vec<Vec<u64>> {
+        let loss = graph(tape, store, ids);
+        tape.backward(loss);
+        store.zero_grads();
+        tape.param_grads(store);
+        let values = tape.values[..tape.nodes.len()].iter().map(|v| bits(v));
+        let grads = ids.iter().map(|&id| bits(store.grad(id)));
+        values.chain(grads).collect()
+    }
+
+    #[test]
+    fn reused_tape_matches_fresh_tapes() {
+        let mut store = ParamStore::new(5);
+        let ids = [store.add(4, 3), store.add(3, 5), store.add(1, 5)];
+        let mut reused = Tape::new();
+        let graphs: [Graph; 4] = [large_graph, small_graph, large_graph, small_graph];
+        for graph in graphs {
+            reused.reset();
+            let got = pass(&mut reused, &mut store, &ids, graph);
+            let want = pass(&mut Tape::new(), &mut store, &ids, graph);
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn forward_only_pass_after_backward_contributes_no_gradients() {
+        let mut store = ParamStore::new(6);
+        let ids = [store.add(4, 3)];
+        let mut tape = Tape::new();
+        let loss = small_graph(&mut tape, &store, &ids);
+        tape.backward(loss);
+        // A validation or inference pass on the same tape: no backward.
+        tape.reset();
+        small_graph(&mut tape, &store, &ids);
+        tape.param_grads(&mut store);
+        assert!(store.grad(ids[0]).iter().all(|&g| g == 0.0));
     }
 }

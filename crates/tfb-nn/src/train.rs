@@ -6,6 +6,7 @@ use crate::optim::{Adam, ParamStore};
 use crate::tape::{Tape, TensorRef};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Instant;
 use tfb_models::{ModelError, Result};
 
 /// Training hyper-parameters.
@@ -90,6 +91,10 @@ impl Trainer {
         let mut stale = 0usize;
         let mut diverging = 0usize;
         let n_batches = n_train.div_ceil(cfg.batch_size.max(1)).max(1);
+        // One tape serves every pass of the fit: `reset` keeps its buffers,
+        // so after the first step no forward or backward allocates.
+        let mut tape = Tape::new();
+        let mut clock = PhaseClock::new();
         for epoch in 0..cfg.epochs.max(1) {
             let epoch_span = tfb_obs::span!("epoch");
             // Fisher-Yates shuffle.
@@ -100,7 +105,8 @@ impl Trainer {
             for (b, batch) in order.chunks(cfg.batch_size.max(1)).enumerate() {
                 store.zero_grads();
                 for &i in batch {
-                    let mut tape = Tape::new();
+                    tape.reset();
+                    let start = clock.now();
                     let pred = forward(&mut tape, store, &inputs[i]);
                     let (pr, pc) = tape.shape(pred);
                     debug_assert_eq!(pr * pc, targets[i].len(), "forward output shape");
@@ -109,8 +115,10 @@ impl Trainer {
                     let sq = tape.mul_elem(d, d);
                     let scaled = tape.scale(sq, 1.0 / batch.len() as f64);
                     let loss = tape.mean_all(scaled);
+                    let start = clock.lap(Phase::Forward, start);
                     tape.backward(loss);
                     tape.param_grads(store);
+                    clock.lap(Phase::Backward, start);
                 }
                 // Gradient-norm gauge, sampled once per epoch (last
                 // batch, pre-clipping). Only computed while a run is
@@ -120,17 +128,21 @@ impl Trainer {
                     tfb_obs::record_grad_norm(gn);
                     tfb_obs::gauge!("nn/grad_norm").set(gn);
                 }
+                let start = clock.now();
                 adam.step(store);
+                clock.lap(Phase::Optimizer, start);
             }
             // Validation (falls back to training loss when no hold-out).
-            let eval_range: Vec<usize> = if n_val > 0 {
-                (n_train..n).collect()
+            let eval_range = if n_val > 0 {
+                n_train..n
             } else {
-                (0..n_train.min(64)).collect()
+                0..n_train.min(64)
             };
+            let n_eval = eval_range.len();
+            let start = clock.now();
             let mut val_loss = 0.0;
-            for &i in &eval_range {
-                let mut tape = Tape::new();
+            for i in eval_range {
+                tape.reset();
                 let pred = forward(&mut tape, store, &inputs[i]);
                 let p = tape.value(pred);
                 let mse: f64 = p
@@ -141,7 +153,8 @@ impl Trainer {
                     / p.len() as f64;
                 val_loss += mse;
             }
-            val_loss /= eval_range.len().max(1) as f64;
+            clock.lap(Phase::Forward, start);
+            val_loss /= n_eval.max(1) as f64;
             epoch_span
                 .record("epoch", epoch as f64)
                 .record("val_loss", val_loss)
@@ -187,6 +200,59 @@ impl Trainer {
         }
         store.restore(&best_snapshot);
         Ok(best_val)
+    }
+}
+
+/// The parts of a fit whose time [`PhaseClock`] reports.
+#[derive(Clone, Copy)]
+enum Phase {
+    /// Training and validation forward passes, loss head included.
+    Forward,
+    /// `backward` plus `param_grads`.
+    Backward,
+    /// The Adam step.
+    Optimizer,
+}
+
+/// Nanoseconds one fit spends per [`Phase`]. It reads the clock only while
+/// a run is recording, and adds its totals to the `nn/train_*_ns` counters
+/// when dropped, once per fit, so the split costs no atomics per pass.
+struct PhaseClock {
+    armed: bool,
+    ns: [u64; 3],
+}
+
+impl PhaseClock {
+    fn new() -> PhaseClock {
+        PhaseClock {
+            armed: tfb_obs::enabled(),
+            ns: [0; 3],
+        }
+    }
+
+    /// The current time, when armed.
+    fn now(&self) -> Option<Instant> {
+        self.armed.then(Instant::now)
+    }
+
+    /// Charges the time since `since` to `phase` and returns the current
+    /// time.
+    fn lap(&mut self, phase: Phase, since: Option<Instant>) -> Option<Instant> {
+        let since = since?;
+        let now = Instant::now();
+        self.ns[phase as usize] += (now - since).as_nanos() as u64;
+        Some(now)
+    }
+}
+
+impl Drop for PhaseClock {
+    fn drop(&mut self) {
+        if self.armed {
+            let [forward, backward, optimizer] = self.ns;
+            tfb_obs::counter!("nn/train_forward_ns").add(forward);
+            tfb_obs::counter!("nn/train_backward_ns").add(backward);
+            tfb_obs::counter!("nn/train_optimizer_ns").add(optimizer);
+        }
     }
 }
 

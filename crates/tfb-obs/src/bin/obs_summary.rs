@@ -80,6 +80,47 @@ fn render_health(doc: &JsonValue) {
     }
 }
 
+/// Splits the time of the `train` spans into the phases deep training
+/// reports through its `nn/train_*_ns` counters; the rest (data
+/// preparation, non-deep methods, early-stopping bookkeeping) is `other`.
+fn render_train_split(doc: &JsonValue, by_path: &BTreeMap<String, (u64, u64)>) {
+    let Some(counters) = doc.get("counters") else {
+        return;
+    };
+    let parts: Vec<(&str, u64)> = [
+        ("forward", "nn/train_forward_ns"),
+        ("backward", "nn/train_backward_ns"),
+        ("optimizer", "nn/train_optimizer_ns"),
+    ]
+    .into_iter()
+    .filter_map(|(label, key)| Some((label, counters.get(key)?.as_f64()? as u64)))
+    .collect();
+    if parts.is_empty() {
+        return;
+    }
+    let train: u64 = by_path
+        .iter()
+        .filter(|(p, _)| p.rsplit('.').next() == Some("train"))
+        .map(|(_, (_, total))| *total)
+        .sum();
+    let timed: u64 = parts.iter().map(|(_, ns)| ns).sum();
+    println!(
+        "\ntraining split (of {} in train spans)",
+        fmt_dur(train).trim()
+    );
+    for (label, ns) in parts
+        .into_iter()
+        .chain([("other", train.saturating_sub(timed))])
+    {
+        let share = if train > 0 {
+            ns as f64 / train as f64 * 100.0
+        } else {
+            0.0
+        };
+        println!("  {label:<28} {} {share:>6.1}%", fmt_dur(ns));
+    }
+}
+
 /// Handles `--compare BASE.json`: renders a full diff (worst regression
 /// first) of this manifest against the baseline. Returns false when the
 /// baseline cannot be loaded.
@@ -262,6 +303,7 @@ fn main() -> ExitCode {
             fmt_dur(self_ns)
         );
     }
+    render_train_split(&doc, &by_path);
 
     // --- Top-N slowest (dataset, method) cells: shallowest path per
     // cell so nested spans are not double-counted. ---------------------

@@ -126,6 +126,29 @@ fn armed_run_is_invisible_to_metrics_and_covers_all_phases() {
     assert_eq!(counter("dataset_cache/hit"), 2);
     assert!(counter("eval/windows") > 0);
     assert!(counter("gemm/calls") > 0, "NLinear training must hit GEMM");
+    // Deep training reports its forward, backward and optimizer time, all
+    // spent inside the `train` spans.
+    let split: u64 = [
+        "nn/train_forward_ns",
+        "nn/train_backward_ns",
+        "nn/train_optimizer_ns",
+    ]
+    .iter()
+    .map(|name| {
+        assert!(counter(name) > 0, "manifest lacks {name}");
+        counter(name)
+    })
+    .sum();
+    let train_ns: u64 = manifest
+        .phases
+        .iter()
+        .filter(|r| r.path.ends_with(".train"))
+        .map(|r| r.total_ns)
+        .sum();
+    assert!(
+        split <= train_ns,
+        "split {split} ns > train spans {train_ns} ns"
+    );
 
     // The manifest serializes to valid, schema-tagged JSON.
     let json = manifest.to_json();
