@@ -1,38 +1,24 @@
-//! The one rebar-style `BENCH_*.json` emitter.
+//! The rebar-style `{name, value, unit}` rendering of suite measurements.
 //!
-//! `bench_engine`, `bench_math` and `bench_serve` used to each carry a
-//! private copy of the same `{name, value, unit}` entry struct and the
-//! same document-building loop; this module is the single shared copy.
-//! The schema is unchanged — a top-level `benchmarks` array of
-//! `{name, value, unit}` objects — so downstream consumers of the
-//! `BENCH_*.json` files see byte-compatible output.
+//! `tfb bench run` writes one `<suite>.bench.json` beside each suite
+//! manifest: a top-level `benchmarks` array of `{name, value, unit}`
+//! objects, one per (cell, quantity), carrying the median. It is a
+//! rendering of the captured measurement rows, not a separate
+//! measurement path.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use tfb_json::JsonValue;
 
 /// One benchmark entry: a named scalar with a unit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
-    /// Slash-separated entry name, e.g. `engine/LR/batched_infer`.
+    /// Slash-separated entry name, `<cell id>/<quantity>`, e.g.
+    /// `eval/engine-grid/LR-batched/infer`.
     pub name: String,
     /// The measured value.
     pub value: f64,
     /// Unit label (`ns`, `us/window`, `req/s`, `x`, `count`, …).
     pub unit: String,
-}
-
-/// Appends one entry (the push-style API the bench binaries grew up with).
-pub fn push(
-    entries: &mut Vec<BenchEntry>,
-    name: impl Into<String>,
-    value: f64,
-    unit: impl Into<String>,
-) {
-    entries.push(BenchEntry {
-        name: name.into(),
-        value,
-        unit: unit.into(),
-    });
 }
 
 /// Builds the rebar-style document: `{"benchmarks": [{name, value, unit}…]}`.
@@ -54,8 +40,7 @@ pub fn bench_doc(entries: &[BenchEntry]) -> JsonValue {
     )])
 }
 
-/// Writes the entries to `path` (pretty JSON + trailing newline, exactly
-/// the bytes the hand-rolled writers produced).
+/// Writes the entries to `path` (pretty JSON + trailing newline).
 pub fn write_bench_json(path: &Path, entries: &[BenchEntry]) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
@@ -63,27 +48,31 @@ pub fn write_bench_json(path: &Path, entries: &[BenchEntry]) -> std::io::Result<
     std::fs::write(path, bench_doc(entries).pretty() + "\n")
 }
 
-/// The workspace root (where the `BENCH_*.json` files live).
-pub fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn entry(name: &str, value: f64, unit: &str) -> BenchEntry {
+        BenchEntry {
+            name: name.into(),
+            value,
+            unit: unit.into(),
+        }
+    }
+
     #[test]
-    fn doc_matches_the_legacy_schema() {
-        let mut entries = Vec::new();
-        push(&mut entries, "engine/cores", 4.0, "count");
-        push(&mut entries, "math/dot_n64_scalar", 21.5, "ns");
+    fn doc_matches_the_rebar_schema() {
+        let entries = vec![
+            entry("serve/smoke/c8-s1/requests", 4.0, "count"),
+            entry("math/kernels/dot-64/scalar", 21.5, "ns"),
+        ];
         let json = bench_doc(&entries).pretty();
         let parsed = JsonValue::parse(&json).expect("valid JSON");
         let benchmarks = parsed.get("benchmarks").unwrap().as_array().unwrap();
         assert_eq!(benchmarks.len(), 2);
         assert_eq!(
             benchmarks[0].get("name").unwrap().as_str(),
-            Some("engine/cores")
+            Some("serve/smoke/c8-s1/requests")
         );
         assert_eq!(benchmarks[1].get("unit").unwrap().as_str(), Some("ns"));
         assert_eq!(benchmarks[1].get("value").unwrap().as_f64(), Some(21.5));
@@ -92,9 +81,7 @@ mod tests {
     #[test]
     fn write_round_trips() {
         let path = std::env::temp_dir().join(format!("tfb_emit_{}.json", std::process::id()));
-        let mut entries = Vec::new();
-        push(&mut entries, "a/b", 1.0, "x");
-        write_bench_json(&path, &entries).expect("write");
+        write_bench_json(&path, &[entry("a/b", 1.0, "x")]).expect("write");
         let text = std::fs::read_to_string(&path).expect("read");
         assert!(text.ends_with('\n'));
         assert!(JsonValue::parse(&text).is_ok());

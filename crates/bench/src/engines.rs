@@ -9,17 +9,22 @@
 //!   Accuracy must be bit-identical across the cell's `iters`
 //!   repetitions (everything is seeded), so a drift across iterations
 //!   is reported as an error, not averaged away.
-//! * **math** — the `bench_math` methodology (min over repetitions of
-//!   K back-to-back calls / K) for one kernel × shape, scalar path vs
-//!   the runtime-dispatched one.
-//! * **serve** — a closed-loop load leg against a freshly started
-//!   forecast server per iteration: throughput and client-side latency
-//!   percentiles.
+//! * **math** — one kernel × shape, scalar path vs the
+//!   runtime-dispatched one, each timed as the minimum over repetitions
+//!   of K back-to-back calls / K.
+//! * **serve** — closed-loop load legs against freshly started forecast
+//!   servers: throughput and client-side latency percentiles, a model
+//!   fleet's cache behaviour, the detection delay of the quality loop,
+//!   and interleaved A/B legs pricing the quality loop and the flight
+//!   recorder on the hot path.
 //!
 //! Every engine returns plain [`MeasurementRow`]s; recording, manifest
 //! assembly and history appends live in [`crate::harness`].
 
 use std::hint::black_box;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::measure::measurement;
@@ -28,11 +33,14 @@ use tfb_core::eval::{evaluate, EvalSettings, Strategy};
 use tfb_core::method::{build_method, Method};
 use tfb_core::Metric;
 use tfb_data::{MultiSeries, Normalization};
+use tfb_json::JsonValue;
 use tfb_math::kernel::{self, KernelPath};
 use tfb_models::tabular::iterate_one_step;
 use tfb_models::{LinearRegressionForecaster, ModelError, WindowForecaster};
 use tfb_nn::TrainConfig;
+use tfb_obs::manifest::percentile;
 use tfb_obs::MeasurementRow;
+use tfb_serve::{serve, serve_fleet, CoalescerConfig, ObserveConfig, ServerConfig};
 
 /// Executes one cell under its suite's engine.
 pub fn run_cell(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
@@ -213,19 +221,30 @@ fn time_ns(reps: usize, calls: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// One xorshift64 step: the engines' only source of pseudo-randomness.
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// Maps a xorshift draw to `[0, 1)`.
+fn unit_f64(x: u64) -> f64 {
+    (x >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// Deterministic pseudo-random data (xorshift), optionally with exact
 /// zeros mixed in for the zero-skip kernels.
 fn data(n: usize, seed: u64, zeros: bool) -> Vec<f64> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     (0..n)
         .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            if zeros && state.is_multiple_of(7) {
+            let x = xorshift(&mut state);
+            if zeros && x.is_multiple_of(7) {
                 0.0
             } else {
-                ((state >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0
+                unit_f64(x) * 4.0 - 2.0
             }
         })
         .collect()
@@ -307,8 +326,7 @@ fn run_math(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
 }
 
 // ---------------------------------------------------------------------
-// Serve engine: a compact closed-loop leg (the full instrumented sweep
-// stays in `bench_serve`; the harness needs a comparable, fast cell).
+// Serve engine: closed-loop load legs against freshly started servers.
 // ---------------------------------------------------------------------
 
 const SERVE_LOOKBACK: usize = 24;
@@ -342,25 +360,43 @@ fn train_serve_model() -> Result<tfb_artifact::ServableModel, String> {
         .map_err(|e| format!("serve engine: artifact not servable: {e}"))
 }
 
-/// Nearest-rank percentile of an already-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
+/// A server on an ephemeral port with the cell's shard count.
+fn server_config(cell: &Cell) -> ServerConfig {
+    ServerConfig {
+        coalescer: CoalescerConfig {
+            shards: cell.shards,
+            ..CoalescerConfig::default()
+        },
+        ..ServerConfig::default()
     }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+}
+
+/// A per-process, per-cell throwaway directory under the system temp dir.
+fn scratch_dir(tag: &str, cell: &Cell) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!(
+        "tfb_{tag}_{}_{}",
+        std::process::id(),
+        cell.name.replace(['/', '\\'], "_")
+    ))
+}
+
+/// A keep-alive `POST` request carrying `body`.
+fn post_request(path: &str, body: &str) -> String {
+    format!(
+        "POST {path} HTTP/1.1\r\nhost: bench\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )
 }
 
 /// One request/reply round trip on a kept-alive connection; returns the
 /// status code.
 fn round_trip(
-    writer: &mut std::net::TcpStream,
-    reader: &mut std::io::BufReader<std::net::TcpStream>,
+    writer: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
     request: &str,
     line: &mut String,
     body: &mut Vec<u8>,
 ) -> Result<u16, String> {
-    use std::io::{BufRead, Read, Write};
     writer
         .write_all(request.as_bytes())
         .map_err(|e| format!("write: {e}"))?;
@@ -394,39 +430,14 @@ fn round_trip(
     Ok(status)
 }
 
-fn connect(
-    addr: std::net::SocketAddr,
-) -> Result<(std::net::TcpStream, std::io::BufReader<std::net::TcpStream>), String> {
-    let stream = std::net::TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+fn connect(addr: SocketAddr) -> Result<(TcpStream, BufReader<TcpStream>), String> {
+    let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     stream.set_nodelay(true).map_err(|e| e.to_string())?;
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .map_err(|e| e.to_string())?;
     let writer = stream.try_clone().map_err(|e| e.to_string())?;
-    Ok((writer, std::io::BufReader::new(stream)))
-}
-
-/// One closed-loop client on a keep-alive connection; returns latencies
-/// in microseconds.
-fn client_loop(
-    addr: std::net::SocketAddr,
-    request: &str,
-    stop: &std::sync::atomic::AtomicBool,
-) -> Result<Vec<f64>, String> {
-    use std::sync::atomic::Ordering;
-    let (mut writer, mut reader) = connect(addr)?;
-    let mut latencies = Vec::new();
-    let mut line = String::new();
-    let mut body = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        let t0 = Instant::now();
-        let status = round_trip(&mut writer, &mut reader, request, &mut line, &mut body)?;
-        latencies.push(t0.elapsed().as_secs_f64() * 1e6);
-        if status != 200 && status != 429 {
-            return Err(format!("unexpected status {status} under closed-loop load"));
-        }
-    }
-    Ok(latencies)
+    Ok((writer, BufReader::new(stream)))
 }
 
 /// Cumulative zipfian distribution over `n` ranks (`P(i) ∝ 1/(i+1)^α`)
@@ -445,27 +456,37 @@ fn zipf_cdf(n: usize, alpha: f64) -> Vec<f64> {
         .collect()
 }
 
-/// One closed-loop client that samples its next model zipfian-style
-/// (seeded xorshift, so the workload is reproducible) and posts to that
-/// model's routed endpoint.
-fn fleet_client_loop(
-    addr: std::net::SocketAddr,
+/// What one closed-loop leg saw from the client side.
+struct Load {
+    /// Per-request latencies in µs, ascending.
+    latencies_us: Vec<f64>,
+    elapsed_s: f64,
+}
+
+impl Load {
+    fn throughput(&self) -> f64 {
+        self.latencies_us.len() as f64 / self.elapsed_s.max(1e-9)
+    }
+}
+
+/// One closed-loop client on a keep-alive connection: sends its next
+/// request the moment the previous reply lands, drawing it from `cdf`
+/// (empty: always the first) with a seeded xorshift, so routed fleet
+/// traffic is reproducible. Returns latencies in µs.
+fn client(
+    addr: SocketAddr,
     requests: &[String],
     cdf: &[f64],
     seed: u64,
-    stop: &std::sync::atomic::AtomicBool,
+    stop: &AtomicBool,
 ) -> Result<Vec<f64>, String> {
-    use std::sync::atomic::Ordering;
     let (mut writer, mut reader) = connect(addr)?;
     let mut latencies = Vec::new();
     let mut line = String::new();
     let mut body = Vec::new();
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     while !stop.load(Ordering::Relaxed) {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+        let u = unit_f64(xorshift(&mut state));
         let idx = cdf.partition_point(|&c| c < u).min(requests.len() - 1);
         let t0 = Instant::now();
         let status = round_trip(
@@ -477,36 +498,95 @@ fn fleet_client_loop(
         )?;
         latencies.push(t0.elapsed().as_secs_f64() * 1e6);
         if status != 200 && status != 429 {
-            return Err(format!("unexpected status {status} under fleet load"));
+            return Err(format!("unexpected status {status} under closed-loop load"));
         }
     }
     Ok(latencies)
 }
 
-/// The `{"window": [...]}` request body every serve cell posts.
-fn forecast_body(dim: usize) -> String {
-    let window: Vec<f64> = (0..SERVE_LOOKBACK * dim)
-        .map(|i| (i as f64) * 0.13 - 2.0)
+/// The closed-loop driver every load leg shares: `cell.clients` clients
+/// (client `c` seeded `seed + c`) against `addr` for `cell.duration_ms`.
+fn closed_loop(
+    cell: &Cell,
+    addr: SocketAddr,
+    requests: &[String],
+    cdf: &[f64],
+    seed: u64,
+) -> Result<Load, String> {
+    let stop = AtomicBool::new(false);
+    let mut latencies_us = Vec::new();
+    let t0 = Instant::now();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..cell.clients.max(1))
+            .map(|c| {
+                let stop = &stop;
+                scope.spawn(move || client(addr, requests, cdf, seed + c as u64, stop))
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(cell.duration_ms.max(50)));
+        stop.store(true, Ordering::Relaxed);
+        for w in workers {
+            latencies_us.extend(w.join().map_err(|_| "client thread panicked")??);
+        }
+        Ok::<(), String>(())
+    })
+    .map_err(|e| format!("{}: {e}", cell.id))?;
+    let elapsed_s = t0.elapsed().as_secs_f64();
+    latencies_us.sort_by(f64::total_cmp);
+    Ok(Load {
+        latencies_us,
+        elapsed_s,
+    })
+}
+
+/// The `{"window": [...]}` body every serve cell posts; `observed` adds
+/// the `"series"`/`"t"` pair that parks the served forecast in the
+/// observe buffer.
+fn forecast_body(dim: usize, observed: Option<(&str, u64)>) -> String {
+    let window = (0..SERVE_LOOKBACK * dim)
+        .map(|i| JsonValue::Number((i as f64) * 0.13 - 2.0))
         .collect();
-    tfb_json::JsonValue::Object(vec![(
-        "window".to_string(),
-        tfb_json::JsonValue::Array(
-            window
-                .iter()
-                .map(|&v| tfb_json::JsonValue::Number(v))
-                .collect(),
-        ),
-    )])
-    .compact()
+    let mut fields = vec![("window".to_string(), JsonValue::Array(window))];
+    if let Some((series, t)) = observed {
+        fields.push(("series".to_string(), JsonValue::String(series.to_string())));
+        fields.push(("t".to_string(), JsonValue::Number(t as f64)));
+    }
+    JsonValue::Object(fields).compact()
+}
+
+/// Throughput and latency samples across a cell's iterations.
+#[derive(Default)]
+struct LoadSamples {
+    throughput: Vec<f64>,
+    p50_us: Vec<f64>,
+    p99_us: Vec<f64>,
+    requests: Vec<f64>,
+}
+
+impl LoadSamples {
+    fn push(&mut self, load: &Load) {
+        self.throughput.push(load.throughput());
+        self.p50_us.push(percentile(&load.latencies_us, 50.0));
+        self.p99_us.push(percentile(&load.latencies_us, 99.0));
+        self.requests.push(load.latencies_us.len() as f64);
+    }
+
+    fn rows(&self, suite: &Suite, cell: &Cell) -> Vec<MeasurementRow> {
+        vec![
+            measurement(suite, cell, "throughput", "req/s", &self.throughput),
+            measurement(suite, cell, "latency_p50", "us", &self.p50_us),
+            measurement(suite, cell, "latency_p99", "us", &self.p99_us),
+            measurement(suite, cell, "requests", "count", &self.requests),
+        ]
+    }
 }
 
 fn run_serve(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use tfb_serve::{serve, CoalescerConfig, ServerConfig};
-
-    // The quality legs ride the serve engine under dedicated workloads;
-    // every other workload value is the plain load leg.
+    // The overhead and quality legs ride the serve engine under
+    // dedicated workloads; every other workload value is the plain load
+    // leg.
     match cell.workload.as_str() {
+        "obs_overhead" => return run_serve_obs_overhead(suite, cell),
         "quality_overhead" => return run_serve_quality_overhead(suite, cell),
         "quality_delay" => return run_serve_quality_delay(suite, cell),
         _ => {}
@@ -514,59 +594,23 @@ fn run_serve(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> 
     if cell.models > 1 {
         return run_serve_fleet(suite, cell);
     }
-    let mut throughput = Vec::with_capacity(cell.iters);
-    let mut p50_us = Vec::with_capacity(cell.iters);
-    let mut p99_us = Vec::with_capacity(cell.iters);
-    let mut requests = Vec::with_capacity(cell.iters);
+    let mut samples = LoadSamples::default();
     for _ in 0..cell.iters {
-        let model = train_serve_model()?;
-        let body = forecast_body(model.dim());
-        let request = format!(
-            "POST /forecast HTTP/1.1\r\nhost: bench\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        let handle = serve(
-            model,
-            ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                coalescer: CoalescerConfig {
-                    shards: cell.shards,
-                    ..CoalescerConfig::default()
-                },
-                ..ServerConfig::default()
-            },
-        )
-        .map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
-        let addr = handle.addr();
-        let stop = AtomicBool::new(false);
-        let mut latencies: Vec<f64> = Vec::new();
-        let t0 = Instant::now();
-        let result: Result<(), String> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..cell.clients.max(1))
-                .map(|_| scope.spawn(|| client_loop(addr, &request, &stop)))
-                .collect();
-            std::thread::sleep(Duration::from_millis(cell.duration_ms.max(50)));
-            stop.store(true, Ordering::Relaxed);
-            for w in workers {
-                latencies.extend(w.join().map_err(|_| "client thread panicked")??);
-            }
-            Ok(())
-        });
-        let elapsed_s = t0.elapsed().as_secs_f64();
-        let _ = handle.shutdown();
-        result.map_err(|e| format!("{}: {e}", cell.id))?;
-        latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        requests.push(latencies.len() as f64);
-        throughput.push(latencies.len() as f64 / elapsed_s.max(1e-9));
-        p50_us.push(percentile(&latencies, 50.0));
-        p99_us.push(percentile(&latencies, 99.0));
+        samples.push(&load_leg(cell)?);
     }
-    Ok(vec![
-        measurement(suite, cell, "throughput", "req/s", &throughput),
-        measurement(suite, cell, "latency_p50", "us", &p50_us),
-        measurement(suite, cell, "latency_p99", "us", &p99_us),
-        measurement(suite, cell, "requests", "count", &requests),
-    ])
+    Ok(samples.rows(suite, cell))
+}
+
+/// One plain load leg: a freshly trained model behind a fresh server,
+/// closed-loop `POST /forecast` traffic, then shutdown.
+fn load_leg(cell: &Cell) -> Result<Load, String> {
+    let model = train_serve_model()?;
+    let request = post_request("/forecast", &forecast_body(model.dim(), None));
+    let handle =
+        serve(model, server_config(cell)).map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
+    let load = closed_loop(cell, handle.addr(), &[request], &[], 1);
+    let _ = handle.shutdown();
+    load
 }
 
 /// The multi-model leg: publish `cell.models` LR artifacts into a
@@ -576,18 +620,12 @@ fn run_serve(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> 
 /// this reports the fleet-specific quantities: resident-cache hit rate,
 /// cold-load p99, and eviction count.
 fn run_serve_fleet(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use tfb_registry::fleet::{Fleet, FleetConfig};
     use tfb_registry::Registry;
-    use tfb_serve::{serve_fleet, CoalescerConfig, ServerConfig};
 
     let models = cell.models;
-    let dir = std::env::temp_dir().join(format!(
-        "tfb_fleet_{}_{}",
-        std::process::id(),
-        cell.name.replace(['/', '\\'], "_")
-    ));
+    let dir = scratch_dir("fleet", cell);
     let _ = std::fs::remove_dir_all(&dir);
     let registry = Registry::open(&dir).map_err(|e| format!("{}: registry: {e}", cell.id))?;
     let mut dim = 0;
@@ -611,20 +649,12 @@ fn run_serve_fleet(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, St
         cell.resident_cap
     };
     let cdf = zipf_cdf(models, 1.0);
-    let body = forecast_body(dim);
+    let body = forecast_body(dim, None);
     let requests_by_model: Vec<String> = (0..models)
-        .map(|i| {
-            format!(
-                "POST /v1/forecast/m{i:02} HTTP/1.1\r\nhost: bench\r\ncontent-length: {}\r\n\r\n{body}",
-                body.len()
-            )
-        })
+        .map(|i| post_request(&format!("/v1/forecast/m{i:02}"), &body))
         .collect();
 
-    let mut throughput = Vec::with_capacity(cell.iters);
-    let mut p50_us = Vec::with_capacity(cell.iters);
-    let mut p99_us = Vec::with_capacity(cell.iters);
-    let mut requests = Vec::with_capacity(cell.iters);
+    let mut load = LoadSamples::default();
     let mut hit_rate = Vec::with_capacity(cell.iters);
     let mut cold_p99_us = Vec::with_capacity(cell.iters);
     let mut evictions = Vec::with_capacity(cell.iters);
@@ -636,51 +666,17 @@ fn run_serve_fleet(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, St
             Fleet::open(registry, FleetConfig { resident_cap: cap })
                 .map_err(|e| format!("{}: fleet: {e}", cell.id))?,
         );
-        let handle = serve_fleet(
-            Arc::clone(&fleet),
-            ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                coalescer: CoalescerConfig {
-                    shards: cell.shards,
-                    ..CoalescerConfig::default()
-                },
-                ..ServerConfig::default()
-            },
-        )
-        .map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
-        let addr = handle.addr();
-        let stop = AtomicBool::new(false);
-        let mut latencies: Vec<f64> = Vec::new();
-        let t0 = Instant::now();
-        let result: Result<(), String> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..cell.clients.max(1))
-                .map(|c| {
-                    let seed = (iter * 131 + c) as u64 + 1;
-                    let (requests_by_model, cdf) = (&requests_by_model, &cdf);
-                    let stop = &stop;
-                    scope.spawn(move || fleet_client_loop(addr, requests_by_model, cdf, seed, stop))
-                })
-                .collect();
-            std::thread::sleep(Duration::from_millis(cell.duration_ms.max(50)));
-            stop.store(true, Ordering::Relaxed);
-            for w in workers {
-                latencies.extend(w.join().map_err(|_| "client thread panicked")??);
-            }
-            Ok(())
-        });
-        let elapsed_s = t0.elapsed().as_secs_f64();
+        let handle = serve_fleet(Arc::clone(&fleet), server_config(cell))
+            .map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
+        let seed = (iter * 131) as u64 + 1;
+        let leg = closed_loop(cell, handle.addr(), &requests_by_model, &cdf, seed);
         let _ = handle.shutdown();
-        result.map_err(|e| format!("{}: {e}", cell.id))?;
+        load.push(&leg?);
         let stats = fleet.stats();
-        latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        requests.push(latencies.len() as f64);
-        throughput.push(latencies.len() as f64 / elapsed_s.max(1e-9));
-        p50_us.push(percentile(&latencies, 50.0));
-        p99_us.push(percentile(&latencies, 99.0));
         hit_rate.push(stats.hit_rate());
         evictions.push(stats.evictions as f64);
         let mut cold = stats.cold_load_us.clone();
-        cold.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        cold.sort_by(f64::total_cmp);
         cold_p99_us.push(if cold.is_empty() {
             0.0
         } else {
@@ -689,15 +685,88 @@ fn run_serve_fleet(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, St
     }
     let _ = std::fs::remove_dir_all(&dir);
     let models_f = vec![models as f64; cell.iters];
-    Ok(vec![
-        measurement(suite, cell, "throughput", "req/s", &throughput),
-        measurement(suite, cell, "latency_p50", "us", &p50_us),
-        measurement(suite, cell, "latency_p99", "us", &p99_us),
-        measurement(suite, cell, "requests", "count", &requests),
+    let mut rows = load.rows(suite, cell);
+    rows.extend([
         measurement(suite, cell, "hit_rate", "", &hit_rate),
         measurement(suite, cell, "cold_load_p99", "us", &cold_p99_us),
         measurement(suite, cell, "evictions", "count", &evictions),
         measurement(suite, cell, "models", "count", &models_f),
+    ]);
+    Ok(rows)
+}
+
+/// The samples of an interleaved A/B run, one vector per leg.
+struct AbSamples {
+    /// Throughput in req/s.
+    rps: Vec<Vec<f64>>,
+    /// Legs after the first: throughput lost against leg 0, in percent.
+    loss_pct: Vec<Vec<f64>>,
+}
+
+/// Interleaved A/B over server configurations ("legs"): every iteration
+/// runs each leg once, in order, so machine-load drift hits all of them
+/// alike. `run_leg(i)` runs leg `i` and returns its throughput (req/s).
+fn interleaved_ab(
+    cell: &Cell,
+    legs: usize,
+    mut run_leg: impl FnMut(usize) -> Result<f64, String>,
+) -> Result<AbSamples, String> {
+    let mut rps = vec![Vec::with_capacity(cell.iters); legs];
+    let mut loss_pct = vec![Vec::with_capacity(cell.iters); legs - 1];
+    for _ in 0..cell.iters {
+        let round = (0..legs)
+            .map(&mut run_leg)
+            .collect::<Result<Vec<f64>, String>>()?;
+        for (i, &r) in round.iter().enumerate() {
+            rps[i].push(r);
+            if i > 0 {
+                loss_pct[i - 1].push((round[0] - r) / round[0].max(1e-9) * 100.0);
+            }
+        }
+    }
+    Ok(AbSamples { rps, loss_pct })
+}
+
+/// The sampling profiler's rate on the `profiled` leg: a prime, so the
+/// samples do not fall into lockstep with periodic work.
+const OBS_PROFILE_HZ: u32 = 97;
+
+/// `workload = "obs_overhead"`: the flight recorder's tax on the
+/// serving hot path. Three plain load legs per iteration — recorder
+/// disarmed (every probe is a relaxed load), armed (event lines copied
+/// into the per-thread rings), and armed with the sampling profiler
+/// walking span stacks — with `overhead_*` the throughput each armed
+/// leg lost against the disarmed one. Postmortem dumps go to a
+/// throwaway directory; the profiler is stopped and the recorder's
+/// armed state restored afterwards.
+fn run_serve_obs_overhead(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
+    use tfb_obs::flight;
+
+    let scratch = scratch_dir("obs_overhead", cell);
+    let was_armed = flight::armed();
+    flight::configure(flight::FlightConfig {
+        history_root: Some(scratch.clone()),
+        context: vec![("cell".to_string(), cell.id.clone())],
+        ..flight::FlightConfig::default()
+    });
+    let ab = interleaved_ab(cell, 3, |leg| {
+        flight::set_armed(leg > 0);
+        if leg == 2 {
+            flight::profiler::start(OBS_PROFILE_HZ);
+        }
+        let load = load_leg(cell);
+        flight::profiler::stop();
+        load.map(|l| l.throughput())
+    });
+    flight::set_armed(was_armed);
+    let _ = std::fs::remove_dir_all(&scratch);
+    let ab = ab?;
+    Ok(vec![
+        measurement(suite, cell, "throughput_disarmed", "req/s", &ab.rps[0]),
+        measurement(suite, cell, "throughput_armed", "req/s", &ab.rps[1]),
+        measurement(suite, cell, "throughput_profiled", "req/s", &ab.rps[2]),
+        measurement(suite, cell, "overhead_armed", "%", &ab.loss_pct[0]),
+        measurement(suite, cell, "overhead_profiled", "%", &ab.loss_pct[1]),
     ])
 }
 
@@ -707,46 +776,23 @@ fn run_serve_fleet(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, St
 // path, and how quickly the drift detectors react to a broken model.
 // ---------------------------------------------------------------------
 
-/// `{"window": [...], "series": ..., "t": n}` — a forecast body that
-/// parks the served forecast in the observe buffer.
-fn observed_forecast_body(dim: usize, series: &str, t: u64) -> String {
-    let window: Vec<f64> = (0..SERVE_LOOKBACK * dim)
-        .map(|i| (i as f64) * 0.13 - 2.0)
-        .collect();
-    tfb_json::JsonValue::Object(vec![
-        (
-            "window".to_string(),
-            tfb_json::JsonValue::Array(
-                window
-                    .iter()
-                    .map(|&v| tfb_json::JsonValue::Number(v))
-                    .collect(),
-            ),
-        ),
-        (
-            "series".to_string(),
-            tfb_json::JsonValue::String(series.to_string()),
-        ),
-        ("t".to_string(), tfb_json::JsonValue::Number(t as f64)),
-    ])
-    .compact()
-}
-
 /// POSTs one JSON body on a kept-alive connection; returns the reply
 /// body, erroring on any non-200 status.
 fn post_json(
-    writer: &mut std::net::TcpStream,
-    reader: &mut std::io::BufReader<std::net::TcpStream>,
+    writer: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
     path: &str,
     json: &str,
 ) -> Result<String, String> {
-    let request = format!(
-        "POST {path} HTTP/1.1\r\nhost: bench\r\ncontent-length: {}\r\n\r\n{json}",
-        json.len()
-    );
     let mut line = String::new();
     let mut body = Vec::new();
-    let status = round_trip(writer, reader, &request, &mut line, &mut body)?;
+    let status = round_trip(
+        writer,
+        reader,
+        &post_request(path, json),
+        &mut line,
+        &mut body,
+    )?;
     if status != 200 {
         return Err(format!(
             "{path}: status {status}: {}",
@@ -758,7 +804,7 @@ fn post_json(
 
 /// The `"forecast"` array of a forecast reply.
 fn forecast_values(reply: &str) -> Result<Vec<f64>, String> {
-    let parsed = tfb_json::JsonValue::parse(reply).map_err(|e| format!("forecast reply: {e}"))?;
+    let parsed = JsonValue::parse(reply).map_err(|e| format!("forecast reply: {e}"))?;
     parsed
         .get("forecast")
         .and_then(|v| v.as_array())
@@ -771,33 +817,27 @@ fn forecast_values(reply: &str) -> Result<Vec<f64>, String> {
 /// sMAPE is a known constant, `100·2|s−1|/(s+1)` for s ≥ 0), and
 /// returns the observe reply plus the observe round-trip time in µs.
 fn scored_join(
-    writer: &mut std::net::TcpStream,
-    reader: &mut std::io::BufReader<std::net::TcpStream>,
+    writer: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
     model: &str,
     series: &str,
     t: u64,
     scale: f64,
     dim: usize,
 ) -> Result<(String, f64), String> {
-    let body = observed_forecast_body(dim, series, t);
+    let body = forecast_body(dim, Some((series, t)));
     let reply = post_json(writer, reader, "/forecast", &body)?;
     let forecast = forecast_values(&reply)?;
-    let actual = tfb_json::JsonValue::Object(vec![
-        (
-            "name".to_string(),
-            tfb_json::JsonValue::String(model.to_string()),
-        ),
-        (
-            "series".to_string(),
-            tfb_json::JsonValue::String(series.to_string()),
-        ),
-        ("t".to_string(), tfb_json::JsonValue::Number(t as f64)),
+    let actual = JsonValue::Object(vec![
+        ("name".to_string(), JsonValue::String(model.to_string())),
+        ("series".to_string(), JsonValue::String(series.to_string())),
+        ("t".to_string(), JsonValue::Number(t as f64)),
         (
             "actual".to_string(),
-            tfb_json::JsonValue::Array(
+            JsonValue::Array(
                 forecast
                     .iter()
-                    .map(|&v| tfb_json::JsonValue::Number(v * scale))
+                    .map(|&v| JsonValue::Number(v * scale))
                     .collect(),
             ),
         ),
@@ -814,9 +854,6 @@ fn scored_join(
 /// buffer at its eviction cap). Returns `(req/s, median µs per scored
 /// observe join)` — the join cost is only measured on the armed side.
 fn quality_overhead_leg(cell: &Cell, enabled: bool) -> Result<(f64, Option<f64>), String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use tfb_serve::{serve, CoalescerConfig, ObserveConfig, ServerConfig};
-
     const SCORE_JOINS: usize = 64;
     // Fresh rolling windows per leg: the join-cost joins from a prior
     // leg must not leak into this one's drift state.
@@ -824,101 +861,61 @@ fn quality_overhead_leg(cell: &Cell, enabled: bool) -> Result<(f64, Option<f64>)
     let model = train_serve_model()?;
     let method = model.method().to_string();
     let dim = model.dim();
-    let body = observed_forecast_body(dim, "q0", 0);
-    let request = format!(
-        "POST /forecast HTTP/1.1\r\nhost: bench\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    let handle = serve(
-        model,
-        ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            coalescer: CoalescerConfig {
-                shards: cell.shards,
-                ..CoalescerConfig::default()
-            },
-            observe: ObserveConfig {
-                enabled,
-                ..ObserveConfig::default()
-            },
-            ..ServerConfig::default()
+    let request = post_request("/forecast", &forecast_body(dim, Some(("q0", 0))));
+    let config = ServerConfig {
+        observe: ObserveConfig {
+            enabled,
+            ..ObserveConfig::default()
         },
-    )
-    .map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
+        ..server_config(cell)
+    };
+    let handle = serve(model, config).map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
     let addr = handle.addr();
-    let stop = AtomicBool::new(false);
-    let mut served = 0usize;
-    let t0 = Instant::now();
-    let result: Result<(), String> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..cell.clients.max(1))
-            .map(|_| scope.spawn(|| client_loop(addr, &request, &stop)))
-            .collect();
-        std::thread::sleep(Duration::from_millis(cell.duration_ms.max(50)));
-        stop.store(true, Ordering::Relaxed);
-        for w in workers {
-            served += w.join().map_err(|_| "client thread panicked")??.len();
+    let result = closed_loop(cell, addr, &[request], &[], 1).and_then(|load| {
+        if !enabled {
+            return Ok((load.throughput(), None));
         }
-        Ok(())
-    });
-    let elapsed_s = t0.elapsed().as_secs_f64();
-    result.map_err(|e| format!("{}: {e}", cell.id))?;
-    let score = if enabled {
         let (mut writer, mut reader) = connect(addr)?;
         let mut times = Vec::with_capacity(SCORE_JOINS);
         for t in 0..SCORE_JOINS {
-            let (reply, us) = scored_join(
-                &mut writer,
-                &mut reader,
-                &method,
-                "score",
-                1_000 + t as u64,
-                1.03,
-                dim,
-            )?;
+            let t = 1_000 + t as u64;
+            let (reply, us) =
+                scored_join(&mut writer, &mut reader, &method, "score", t, 1.03, dim)?;
             if !reply.contains("\"status\":\"scored\"") {
                 return Err(format!("{}: join not scored: {reply}", cell.id));
             }
             times.push(us);
         }
-        let _ = handle.shutdown();
-        times.sort_by(|a, b| a.total_cmp(b));
-        Some(times[times.len() / 2])
-    } else {
-        let _ = handle.shutdown();
-        None
-    };
-    Ok((served as f64 / elapsed_s.max(1e-9), score))
+        times.sort_by(f64::total_cmp);
+        Ok((load.throughput(), Some(times[times.len() / 2])))
+    });
+    let _ = handle.shutdown();
+    result
 }
 
 /// `workload = "quality_overhead"`: the same closed-loop forecast load
-/// with the observe buffer on vs off, interleaved per iteration so
-/// machine-load drift hits both sides. `overhead` is the armed
-/// throughput loss in percent — the quantity the quality loop promises
-/// stays small — and `score` the cost of one full observe join.
+/// with the observe buffer off vs on, interleaved per iteration.
+/// `overhead` is the armed throughput loss in percent — the quantity
+/// the quality loop promises stays small — and `score` the cost of one
+/// full observe join.
 fn run_serve_quality_overhead(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
-    let mut armed_rps = Vec::with_capacity(cell.iters);
-    let mut disarmed_rps = Vec::with_capacity(cell.iters);
-    let mut overhead_pct = Vec::with_capacity(cell.iters);
     let mut score_us = Vec::with_capacity(cell.iters);
-    for _ in 0..cell.iters {
-        let (off, _) = quality_overhead_leg(cell, false)?;
-        let (on, score) = quality_overhead_leg(cell, true)?;
-        disarmed_rps.push(off);
-        armed_rps.push(on);
-        overhead_pct.push((off - on) / off.max(1e-9) * 100.0);
-        score_us.push(score.unwrap_or(f64::NAN));
-    }
+    let ab = interleaved_ab(cell, 2, |leg| {
+        let (rps, score) = quality_overhead_leg(cell, leg == 1)?;
+        score_us.extend(score);
+        Ok(rps)
+    })?;
     Ok(vec![
-        measurement(suite, cell, "throughput_armed", "req/s", &armed_rps),
-        measurement(suite, cell, "throughput_disarmed", "req/s", &disarmed_rps),
-        measurement(suite, cell, "overhead", "%", &overhead_pct),
+        measurement(suite, cell, "throughput_armed", "req/s", &ab.rps[1]),
+        measurement(suite, cell, "throughput_disarmed", "req/s", &ab.rps[0]),
+        measurement(suite, cell, "overhead", "%", &ab.loss_pct[0]),
         measurement(suite, cell, "score", "us/join", &score_us),
     ])
 }
 
 /// The `"smape"` field of an observe reply.
 fn reply_smape(reply: &str) -> f64 {
-    tfb_json::JsonValue::parse(reply)
+    JsonValue::parse(reply)
         .ok()
         .and_then(|v| v.get("smape").and_then(|s| s.as_f64()))
         .unwrap_or(f64::NAN)
@@ -935,8 +932,6 @@ fn reply_smape(reply: &str) -> f64 {
 /// on a fixed stream, so it is identical across iterations and a
 /// regression in it is a detector change, not noise.
 fn run_serve_quality_delay(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
-    use tfb_serve::{serve, CoalescerConfig, ObserveConfig, ServerConfig};
-
     if !tfb_obs::enabled() {
         return Err(format!(
             "{}: the detection-delay leg reads the drift flag wired through the \
@@ -963,19 +958,8 @@ fn run_serve_quality_delay(suite: &Suite, cell: &Cell) -> Result<Vec<Measurement
         let model = train_serve_model()?;
         let method = model.method().to_string();
         let dim = model.dim();
-        let handle = serve(
-            model,
-            ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                coalescer: CoalescerConfig {
-                    shards: cell.shards,
-                    ..CoalescerConfig::default()
-                },
-                observe: ObserveConfig::default(),
-                ..ServerConfig::default()
-            },
-        )
-        .map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
+        let handle = serve(model, server_config(cell))
+            .map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
         let addr = handle.addr();
         let (mut writer, mut reader) = connect(addr)?;
         let mut last_clean = f64::NAN;
@@ -1172,6 +1156,53 @@ iters = 1
             assert!((clean.min - 2.956).abs() < 0.1, "clean sMAPE {}", clean.min);
             assert!((drift.min - 22.22).abs() < 0.3, "drift sMAPE {}", drift.min);
         }
+    }
+
+    #[test]
+    fn serve_obs_overhead_cell_emits_five_rows_and_restores_the_recorder() {
+        let suite = suite_from(
+            r#"
+name = "serve/unit"
+engine = "serve"
+[[entry]]
+name = "obs"
+workload = "obs_overhead"
+clients = 2
+duration_ms = 60
+iters = 1
+"#,
+        );
+        let armed_before = tfb_obs::flight::armed();
+        let rows = run_cell(&suite, &suite.cells[0]).expect("overhead legs run");
+        let quantities: Vec<&str> = rows.iter().map(|r| r.quantity.as_str()).collect();
+        assert_eq!(
+            quantities,
+            [
+                "throughput_disarmed",
+                "throughput_armed",
+                "throughput_profiled",
+                "overhead_armed",
+                "overhead_profiled"
+            ]
+        );
+        for r in &rows[..3] {
+            assert_eq!(r.unit, "req/s");
+            assert!(r.min > 0.0, "{} served nothing", r.quantity);
+        }
+        for r in &rows[3..] {
+            assert_eq!(r.unit, "%");
+            assert!(
+                r.min.is_finite() && r.min < 100.0,
+                "{}: {}",
+                r.quantity,
+                r.min
+            );
+        }
+        assert_eq!(tfb_obs::flight::armed(), armed_before, "armed state leaked");
+        assert!(
+            !tfb_obs::flight::profiler::active(),
+            "profiler left running"
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub struct RunConfig {
     pub patterns: Vec<String>,
     /// Restrict to one suite (by name or file stem) before globbing.
     pub suite: Option<String>,
-    /// Where per-suite manifests (and BENCH renderings) are written.
+    /// Where per-suite manifests (and `.bench.json` renderings) are written.
     pub out_dir: PathBuf,
     /// History store to auto-record into; `None` disables recording.
     pub history: Option<PathBuf>,
@@ -214,7 +214,7 @@ pub fn run(cfg: &RunConfig) -> Result<Vec<SuiteRun>, String> {
         manifest
             .write(&manifest_path)
             .map_err(|e| format!("cannot write {}: {e}", manifest_path.display()))?;
-        // The BENCH-style rendering of the same captured measurements.
+        // The rebar-style rendering of the same captured measurements.
         let entries = crate::measure::to_bench_entries(&manifest.measurements);
         let bench_path = cfg.out_dir.join(format!("{label}.bench.json"));
         crate::emit::write_bench_json(&bench_path, &entries)

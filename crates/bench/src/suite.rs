@@ -138,11 +138,55 @@ pub struct Suite {
     pub cells: Vec<Cell>,
 }
 
-fn get_str(v: &JsonValue, key: &str, default: &str) -> String {
-    v.get(key)
-        .and_then(|s| s.as_str())
-        .unwrap_or(default)
-        .to_string()
+/// The value type a suite key takes.
+#[derive(Clone, Copy)]
+enum Kind {
+    Str,
+    Int,
+    Table,
+    Tables,
+}
+
+/// The keys `[defaults]` and every `[[entry]]` may set (`name` aside).
+fn cell_key(key: &str) -> Option<Kind> {
+    match key {
+        "dataset" | "method" | "characteristic" | "normalization" | "multistep" | "inference"
+        | "workload" => Some(Kind::Str),
+        "horizon" | "lookback" | "max_windows" | "max_len" | "max_dim" | "iters" | "epochs"
+        | "stride" | "n" | "depth" | "clients" | "duration_ms" | "shards" | "models"
+        | "resident_cap" => Some(Kind::Int),
+        _ => None,
+    }
+}
+
+/// Rejects any key `kind_of` does not know and any value of the wrong
+/// type, so a misspelled key (`shard = 2`) or a quoted number
+/// (`iters = "5"`) fails loudly instead of running the default.
+fn check_table(
+    table: &JsonValue,
+    what: &str,
+    kind_of: impl Fn(&str) -> Option<Kind>,
+) -> Result<(), String> {
+    let fields = table
+        .as_object()
+        .ok_or_else(|| format!("{what} is not a table"))?;
+    for (key, value) in fields {
+        let kind = kind_of(key).ok_or_else(|| format!("{what}: unknown key {key:?}"))?;
+        let (ok, expected) = match kind {
+            Kind::Str => (value.as_str().is_some(), "a string"),
+            Kind::Int => (value.as_usize().is_some(), "a non-negative integer"),
+            Kind::Table => (value.as_object().is_some(), "a table"),
+            // Each element is checked as a table of its own.
+            Kind::Tables => (value.as_array().is_some(), "an array of tables"),
+        };
+        if !ok {
+            return Err(format!(
+                "{what}: key {key:?} takes {expected}, not {}",
+                value.compact()
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn get_usize(entry: &JsonValue, defaults: &JsonValue, key: &str, fallback: usize) -> usize {
@@ -163,8 +207,16 @@ fn get_merged_str(entry: &JsonValue, defaults: &JsonValue, key: &str, fallback: 
 }
 
 /// Parses a suite document (the JSON tree shared by `.toml` and `.json`
-/// files) into a [`Suite`].
+/// files) into a [`Suite`]. A key the suite format does not know, or a
+/// value of the wrong type, is an error naming the table and the key
+/// ([`load_suite`] adds the file).
 pub fn parse_suite(doc: &JsonValue, path: &Path) -> Result<Suite, String> {
+    check_table(doc, "suite", |key| match key {
+        "name" | "engine" | "description" => Some(Kind::Str),
+        "defaults" => Some(Kind::Table),
+        "entry" => Some(Kind::Tables),
+        _ => None,
+    })?;
     let name = doc
         .get("name")
         .and_then(|s| s.as_str())
@@ -175,9 +227,14 @@ pub fn parse_suite(doc: &JsonValue, path: &Path) -> Result<Suite, String> {
             .and_then(|s| s.as_str())
             .ok_or("suite has no \"engine\"")?,
     )?;
-    let description = get_str(doc, "description", "");
+    let description = doc
+        .get("description")
+        .and_then(|s| s.as_str())
+        .unwrap_or_default()
+        .to_string();
     let empty = JsonValue::Object(vec![]);
     let defaults = doc.get("defaults").unwrap_or(&empty);
+    check_table(defaults, "[defaults]", cell_key)?;
     let entries = doc
         .get("entry")
         .and_then(|v| v.as_array())
@@ -187,6 +244,14 @@ pub fn parse_suite(doc: &JsonValue, path: &Path) -> Result<Suite, String> {
     }
     let mut cells = Vec::new();
     for (i, entry) in entries.iter().enumerate() {
+        let label = match entry.get("name").and_then(|s| s.as_str()) {
+            Some(n) => format!("[[entry]] {n:?}"),
+            None => format!("[[entry]] #{}", i + 1),
+        };
+        check_table(entry, &label, |key| match key {
+            "name" => Some(Kind::Str),
+            _ => cell_key(key),
+        })?;
         let cell_name = entry
             .get("name")
             .and_then(|s| s.as_str())
@@ -365,6 +430,74 @@ horizon = 48
             parse_suite(&doc, Path::new("x.toml")).is_err(),
             "no entries"
         );
+    }
+
+    #[test]
+    fn unknown_keys_and_mistyped_values_are_errors() {
+        let err = |body: &str| {
+            let toml = format!("name = \"serve/x\"\nengine = \"serve\"\n{body}");
+            parse_suite(&crate::toml::parse(&toml).unwrap(), Path::new("x.toml")).unwrap_err()
+        };
+        let entry = "[[entry]]\nname = \"c\"";
+        for (body, want) in [
+            // A misspelled key, in an entry, in [defaults], at the top.
+            (
+                format!("{entry}\nshard = 2"),
+                r#"[[entry]] "c": unknown key "shard""#,
+            ),
+            (
+                format!("[defaults]\nclient = 4\n{entry}"),
+                r#"[defaults]: unknown key "client""#,
+            ),
+            (
+                format!("descripton = \"d\"\n{entry}"),
+                r#"suite: unknown key "descripton""#,
+            ),
+            // Values of the wrong type.
+            (
+                format!("{entry}\niters = \"5\""),
+                r#"[[entry]] "c": key "iters" takes"#,
+            ),
+            (
+                format!("{entry}\nshards = -1"),
+                r#"[[entry]] "c": key "shards" takes"#,
+            ),
+            (
+                format!("{entry}\nduration_ms = 2.5"),
+                r#"[[entry]] "c": key "duration_ms" takes"#,
+            ),
+            (
+                format!("{entry}\nmethod = 3"),
+                r#"[[entry]] "c": key "method" takes"#,
+            ),
+            (
+                format!("[defaults]\nhorizon = true\n{entry}"),
+                r#"[defaults]: key "horizon" takes"#,
+            ),
+            (
+                format!("description = 1\n{entry}"),
+                r#"suite: key "description" takes"#,
+            ),
+            // An entry without a usable name is named by position.
+            (
+                format!("{entry}\n[[entry]]\nname = 7"),
+                r#"[[entry]] #2: key "name" takes"#,
+            ),
+        ] {
+            let e = err(&body);
+            assert!(e.contains(want), "{body:?}: {e}");
+        }
+        // Loading from disk prefixes the file.
+        let path = std::env::temp_dir().join(format!("tfb_suite_typo_{}.toml", std::process::id()));
+        std::fs::write(
+            &path,
+            "name = \"serve/x\"\nengine = \"serve\"\n[[entry]]\nname = \"c\"\nshard = 2",
+        )
+        .unwrap();
+        let e = load_suite(&path).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        assert!(e.starts_with(&path.display().to_string()), "{e}");
+        assert!(e.contains("[[entry]] \"c\": unknown key \"shard\""), "{e}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tfb_artifact::{fit, ServableModel};
 use tfb_data::{ChronoSplit, Normalization, Normalizer};
@@ -159,6 +159,35 @@ fn batched_output_equals_sequential_predict_bitwise() {
             "batched forecast differs bitwise from sequential predict"
         );
     }
+}
+
+#[test]
+fn a_lone_request_closes_on_the_coalesce_hint_not_the_budget() {
+    // Had the batch waited out its 2 s budget, the lone request's reply
+    // would take at least 2 s; the deadline close answers it once the
+    // default 150 µs coalesce hint expires.
+    assert_eq!(
+        CoalescerConfig::default().coalesce_hint,
+        Duration::from_micros(150)
+    );
+    let predictor = Arc::new(EchoPredictor::new(2, Duration::ZERO));
+    let coalescer = Coalescer::start(
+        predictor as Arc<dyn BatchPredictor>,
+        CoalescerConfig {
+            shards: 1,
+            budget: Duration::from_secs(2),
+            ..CoalescerConfig::default()
+        },
+    );
+    let t0 = Instant::now();
+    let rx = coalescer.submit(vec![1.0, 2.0]).expect("submit");
+    rx.recv().expect("reply").expect("predict");
+    let waited = t0.elapsed();
+    assert!(
+        waited < Duration::from_millis(500),
+        "a lone request waited {waited:?}: the batch ignored the coalesce hint"
+    );
+    coalescer.shutdown();
 }
 
 #[test]

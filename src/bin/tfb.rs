@@ -1977,7 +1977,40 @@ fn report_quality(drain: &tfb::serve::DrainReport, out_dir: Option<&Path>) {
     }
 }
 
+/// Every flag `tfb serve` reads.
+const SERVE_FLAGS: [&str; 20] = [
+    "--model",
+    "--registry",
+    "--addr",
+    "--shards",
+    "--resident-cap",
+    "--batch-max",
+    "--budget-us",
+    "--queue-cap",
+    "--out",
+    "--slo-ms",
+    "--slo-objective",
+    "--profile-hz",
+    "--canary-pct",
+    "--observe",
+    "--quality-window",
+    "--quality-slo-smape",
+    "--quality-slo-objective",
+    "--quality-ph-delta",
+    "--quality-ph-lambda",
+    "--history",
+];
+
 fn cmd_serve(args: &[String]) -> ExitCode {
+    // `flag_value` ignores flags nobody asks for, so a misspelled or
+    // retired flag would otherwise serve silently with defaults.
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !SERVE_FLAGS.contains(&a.as_str()))
+    {
+        eprintln!("tfb serve: unknown flag {flag} (run `tfb` for the flag list)");
+        return ExitCode::FAILURE;
+    }
     let model_path = flag_value(args, "--model");
     let registry_dir = flag_value(args, "--registry");
     if model_path.is_none() && registry_dir.is_none() {
@@ -1989,20 +2022,11 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     if let Some(n) = flag_value(args, "--shards").and_then(|v| v.parse().ok()) {
         coalescer.shards = n; // 0 = one shard per core
     }
-    // `--max-batch` is the pre-sharding spelling of `--batch-max`.
-    if let Some(n) = flag_value(args, "--batch-max")
-        .or_else(|| flag_value(args, "--max-batch"))
-        .and_then(|v| v.parse().ok())
-    {
+    if let Some(n) = flag_value(args, "--batch-max").and_then(|v| v.parse().ok()) {
         coalescer.max_batch = n;
     }
     if let Some(us) = flag_value(args, "--budget-us").and_then(|v| v.parse().ok()) {
         coalescer.budget = std::time::Duration::from_micros(us);
-    } else if let Some(ms) = flag_value(args, "--max-delay-ms").and_then(|v| v.parse().ok()) {
-        // Legacy alias: the old coalescer held every batch open for a
-        // fixed window; budget == hint reproduces that behaviour.
-        coalescer.budget = std::time::Duration::from_millis(ms);
-        coalescer.coalesce_hint = coalescer.budget;
     }
     if let Some(n) = flag_value(args, "--queue-cap").and_then(|v| v.parse().ok()) {
         coalescer.queue_cap = n;

@@ -136,6 +136,22 @@ fn serve_missing_artifact_path_is_a_structured_error() {
 }
 
 #[test]
+fn serve_rejects_unknown_and_retired_flags_before_loading() {
+    // `m.tfba` does not exist: the flag check must fire before any model
+    // is opened, so stderr names the flag, not a load failure.
+    for (flag, value) in [("--max-delay-ms", "5"), ("--shard", "2")] {
+        let out = tfb(&["serve", "--model", "m.tfba", flag, value]);
+        assert!(!out.status.success(), "{flag} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "stderr does not name {flag}: {err}");
+        assert!(
+            !err.contains("cannot load"),
+            "{flag} checked too late: {err}"
+        );
+    }
+}
+
+#[test]
 fn serve_malformed_artifact_is_a_structured_error_not_a_panic() {
     let dir = std::env::temp_dir().join(format!("tfb_cli_bad_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
