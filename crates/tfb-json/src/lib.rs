@@ -48,12 +48,20 @@ impl std::error::Error for JsonError {}
 /// Result alias for parsing.
 pub type Result<T> = std::result::Result<T, JsonError>;
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts, far above
+/// what any document this workspace writes uses. The parser recurses
+/// once per level, so the bound keeps hostile input (a server body of a
+/// million `[`) from overflowing the stack.
+pub const MAX_DEPTH: usize = 256;
+
 impl JsonValue {
-    /// Parses a complete JSON document (trailing garbage is an error).
+    /// Parses a complete JSON document (trailing garbage, and nesting
+    /// deeper than [`MAX_DEPTH`], are errors).
     pub fn parse(text: &str) -> Result<JsonValue> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -273,6 +281,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -308,8 +318,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -555,6 +576,29 @@ mod tests {
             JsonValue::parse(r#""é😀""#).unwrap(),
             JsonValue::String("é😀".into())
         );
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(JsonValue::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn a_million_open_brackets_are_an_error_not_a_stack_overflow() {
+        // A spawned thread has the default 2 MiB stack that server
+        // connection threads parse request bodies on.
+        for unit in ["[", "{\"a\":"] {
+            let doc = unit.repeat(1_000_000);
+            let parsed = std::thread::spawn(move || JsonValue::parse(&doc).map(|_| ()))
+                .join()
+                .expect("the parser must not overflow the stack");
+            let err = parsed.expect_err("unterminated nesting is an error");
+            assert!(err.message.contains("nesting"), "{unit}: {err}");
+        }
     }
 
     #[test]

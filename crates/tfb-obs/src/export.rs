@@ -11,11 +11,14 @@
 //!   handler's lane, with its phases laid out as consecutive child
 //!   slices (`phase:parse`, `phase:queue`, …) reconstructed from the
 //!   phase breakdown;
-//! * `serve.batch` spans (the batch worker's lane) link to the requests
-//!   they carried via `"s"`/`"f"` flow events keyed by batch id;
-//! * `"M"` metadata events name the process and each thread lane, so
-//!   accept threads and the batch worker render as distinct, labelled
-//!   tracks.
+//! * `serve.batch` spans (on the lane of the connection thread that
+//!   combined the batch) link to the requests they carried via
+//!   `"s"`/`"f"` flow events keyed by batch id;
+//! * `"M"` metadata events name the process and each thread lane; a
+//!   lane that ran a shard's batches is labelled `shard N connection`.
+//!
+//! Event kinds the exporter does not draw (`run_start`, `health`, and
+//! the `steal` records older serving logs carry) are skipped.
 //!
 //! The output is deterministic for a given input: events are sorted by
 //! `(ts, tid, phase-kind, name)` before serialization.
@@ -34,10 +37,6 @@ struct Event {
     id: Option<u64>,
     args: Vec<(String, JsonValue)>,
 }
-
-/// Flow ids for work-steal arrows live above this floor so they can never
-/// collide with batch ids (which count up from zero).
-const STEAL_FLOW_BASE: u64 = 1_000_000_000;
 
 fn get_u64(v: &JsonValue, key: &str) -> Option<u64> {
     v.get(key).and_then(|n| n.as_f64()).map(|n| n as u64)
@@ -58,13 +57,8 @@ pub fn chrome_trace(events: &str) -> Result<String, String> {
     let mut batch_spans: BTreeMap<u64, (u64, f64)> = BTreeMap::new();
     // (batch id, request ts, request tid)
     let mut flows: Vec<(u64, f64, u64)> = Vec::new();
-    // Sharded server geometry: which shard each batcher tid serves, and
-    // the batcher tid behind each shard (for steal arrows).
+    // Which shard's batches each tid combined.
     let mut shard_of_tid: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut tid_of_shard: BTreeMap<u64, u64> = BTreeMap::new();
-    // (flow id, thief ts µs, thief tid, victim shard) — resolved after the
-    // pass, once every shard's batcher lane is known.
-    let mut steals: Vec<(u64, f64, u64, u64)> = Vec::new();
     // Profiler counter tracks: (thread name, ts µs) → samples in the tick.
     let mut psamples: BTreeMap<(String, u64), u64> = BTreeMap::new();
     let mut psample_tids: BTreeMap<String, u64> = BTreeMap::new();
@@ -111,7 +105,6 @@ pub fn chrome_trace(events: &str) -> Result<String, String> {
                         fields.and_then(|f| f.get("shard")).and_then(|s| s.as_f64())
                     {
                         shard_of_tid.entry(thread).or_insert(shard as u64);
-                        tid_of_shard.entry(shard as u64).or_insert(thread);
                     }
                 }
                 out.push(Event {
@@ -180,31 +173,6 @@ pub fn chrome_trace(events: &str) -> Result<String, String> {
                     }
                 }
             }
-            Some("steal") => {
-                let t_ns = get_u64(&v, "t_ns").unwrap_or(0);
-                let thread = get_u64(&v, "thread").unwrap_or(0);
-                let from = get_u64(&v, "from").unwrap_or(0);
-                let to = get_u64(&v, "to").unwrap_or(0);
-                let moved = get_u64(&v, "moved").unwrap_or(0);
-                let seq = get_u64(&v, "seq").unwrap_or(0);
-                let ts_us = t_ns as f64 / 1e3;
-                tids.insert(thread);
-                out.push(Event {
-                    ts_us,
-                    dur_us: None,
-                    ph: "i",
-                    tid: thread,
-                    name: format!("steal shard{from}→shard{to}"),
-                    cat: None,
-                    id: None,
-                    args: vec![
-                        ("from".to_string(), JsonValue::Number(from as f64)),
-                        ("to".to_string(), JsonValue::Number(to as f64)),
-                        ("moved".to_string(), JsonValue::Number(moved as f64)),
-                    ],
-                });
-                steals.push((STEAL_FLOW_BASE + seq, ts_us, thread, from));
-            }
             Some("psample") => {
                 let t_ns = get_u64(&v, "t_ns").unwrap_or(0);
                 let thread = get_u64(&v, "thread").unwrap_or(0);
@@ -243,33 +211,6 @@ pub fn chrome_trace(events: &str) -> Result<String, String> {
             args: Vec::new(),
         });
     }
-    // Flow arrows victim batcher → thief, one per work-steal. Skipped when
-    // the victim shard never closed a batch (its lane is unknown).
-    for (flow_id, ts, thief_tid, victim_shard) in steals {
-        let Some(&victim_tid) = tid_of_shard.get(&victim_shard) else {
-            continue;
-        };
-        out.push(Event {
-            ts_us: ts,
-            dur_us: None,
-            ph: "s",
-            tid: victim_tid,
-            name: "steal".to_string(),
-            cat: Some("steal"),
-            id: Some(flow_id),
-            args: Vec::new(),
-        });
-        out.push(Event {
-            ts_us: ts,
-            dur_us: None,
-            ph: "f",
-            tid: thief_tid,
-            name: "steal".to_string(),
-            cat: Some("steal"),
-            id: Some(flow_id),
-            args: Vec::new(),
-        });
-    }
     // Profiler sample rates as Perfetto counter tracks, one per profiled
     // thread, summed across stacks per flush tick.
     for (&(ref name, t_ns), &count) in &psamples {
@@ -296,7 +237,7 @@ pub fn chrome_trace(events: &str) -> Result<String, String> {
     trace_events.push(meta_event(0, "process_name", "name", "tfb"));
     for &tid in &tids {
         let label = if let Some(shard) = shard_of_tid.get(&tid) {
-            format!("shard {shard} batcher")
+            format!("shard {shard} connection")
         } else if batch_tids.contains(&tid) {
             "batch worker".to_string()
         } else {
@@ -475,17 +416,18 @@ mod tests {
         [
             r#"{"ev":"span","seq":1,"t_ns":2000000,"thread":3,"depth":0,"path":"serve.batch","dataset":"","method":"","ns":1500000,"fields":{"batch_id":7,"shard":0,"rows":2}}"#,
             r#"{"ev":"span","seq":2,"t_ns":2600000,"thread":4,"depth":0,"path":"serve.batch","dataset":"","method":"","ns":400000,"fields":{"batch_id":8,"shard":1,"rows":1}}"#,
+            // A work-steal record as older serving logs carry it.
             r#"{"ev":"steal","seq":3,"t_ns":2700000,"thread":4,"from":0,"to":1,"moved":3}"#,
-            r#"{"ev":"psample","seq":4,"t_ns":3000000,"thread":3,"name":"shard0-batcher","stack":"serve.batch;serve.infer","count":5}"#,
-            r#"{"ev":"psample","seq":5,"t_ns":3000000,"thread":3,"name":"shard0-batcher","stack":"<idle>","count":2}"#,
+            r#"{"ev":"psample","seq":4,"t_ns":3000000,"thread":3,"name":"conn-s0","stack":"serve.batch;serve.infer","count":5}"#,
+            r#"{"ev":"psample","seq":5,"t_ns":3000000,"thread":3,"name":"conn-s0","stack":"<idle>","count":2}"#,
         ]
         .join("\n")
             + "\n"
     }
 
     #[test]
-    fn sharded_export_has_shard_lanes_steal_arrows_and_counter_tracks() {
-        let json = chrome_trace(&sharded_events()).expect("export");
+    fn sharded_export_has_shard_lanes_and_counter_tracks_and_skips_steals() {
+        let json = chrome_trace(&sharded_events()).expect("old steal lines are skipped");
         let doc = JsonValue::parse(&json).expect("output is valid JSON");
         let events = doc
             .get("traceEvents")
@@ -497,7 +439,8 @@ mod tests {
         fn name(e: &JsonValue) -> &str {
             e.get("name").and_then(|p| p.as_str()).unwrap_or("")
         }
-        // Batcher lanes are labelled per shard, not with the generic name.
+        // Lanes that ran a shard's batches are labelled per shard, not
+        // with the generic name.
         let lane_names: Vec<String> = events
             .iter()
             .filter(|e| ph(e) == "M" && name(e) == "thread_name")
@@ -509,31 +452,20 @@ mod tests {
             })
             .collect();
         assert!(
-            lane_names.contains(&"shard 0 batcher".to_string()),
+            lane_names.contains(&"shard 0 connection".to_string()),
             "{lane_names:?}"
         );
         assert!(
-            lane_names.contains(&"shard 1 batcher".to_string()),
+            lane_names.contains(&"shard 1 connection".to_string()),
             "{lane_names:?}"
         );
-        // The steal renders as an instant on the thief's lane plus a flow
-        // arrow from the victim's batcher lane (tid 3) to the thief's (4).
-        let instants: Vec<&JsonValue> = events.iter().filter(|e| ph(e) == "i").collect();
-        assert_eq!(instants.len(), 1);
-        assert_eq!(name(instants[0]), "steal shard0→shard1");
-        let steal_flows: Vec<&JsonValue> = events
-            .iter()
-            .filter(|e| e.get("cat").and_then(|c| c.as_str()) == Some("steal"))
-            .collect();
-        assert_eq!(steal_flows.len(), 2);
-        let s = steal_flows.iter().find(|e| ph(e) == "s").expect("s");
-        let f = steal_flows.iter().find(|e| ph(e) == "f").expect("f");
-        assert_eq!(s.get("tid").and_then(|t| t.as_f64()), Some(3.0));
-        assert_eq!(f.get("tid").and_then(|t| t.as_f64()), Some(4.0));
+        // The steal record draws nothing: no instant, no flow arrow.
+        assert!(events.iter().all(|e| ph(e) != "i"));
+        assert!(events.iter().all(|e| !name(e).contains("steal")));
         // Profiler samples become a counter track summed across stacks.
         let counters: Vec<&JsonValue> = events.iter().filter(|e| ph(e) == "C").collect();
         assert_eq!(counters.len(), 1);
-        assert_eq!(name(counters[0]), "profile:shard0-batcher");
+        assert_eq!(name(counters[0]), "profile:conn-s0");
         assert_eq!(
             counters[0]
                 .get("args")
@@ -548,7 +480,7 @@ mod tests {
         let collapsed = collapsed_profile(&sharded_events()).expect("collapse");
         assert_eq!(
             collapsed,
-            "shard0-batcher;<idle> 2\nshard0-batcher;serve.batch;serve.infer 5\n"
+            "conn-s0;<idle> 2\nconn-s0;serve.batch;serve.infer 5\n"
         );
         // Logs without samples collapse to nothing, not an error.
         assert_eq!(collapsed_profile(&sample_events()).expect("empty"), "");

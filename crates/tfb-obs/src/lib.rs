@@ -55,7 +55,7 @@ pub use record::test_support;
 #[cfg(feature = "record")]
 pub use record::{
     enabled, finish_run, health_event, metrics_snapshot, record_grad_norm, report_metric,
-    start_run, steal_event, Counter, Gauge, Histogram, RunOptions, Span, RESERVOIR_CAP,
+    start_run, Counter, Gauge, Histogram, RunOptions, Span, RESERVOIR_CAP,
 };
 
 #[cfg(not(feature = "record"))]
@@ -63,7 +63,7 @@ mod noop;
 #[cfg(not(feature = "record"))]
 pub use noop::{
     enabled, finish_run, health_event, metrics_snapshot, record_grad_norm, report_metric,
-    start_run, steal_event, Counter, Gauge, Histogram, RunOptions, Span,
+    start_run, Counter, Gauge, Histogram, RunOptions, Span,
 };
 
 #[cfg(feature = "alloc-track")]

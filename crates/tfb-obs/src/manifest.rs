@@ -214,7 +214,7 @@ pub struct TraceExemplar {
     /// End-to-end latency.
     pub total_ns: u64,
     /// Rows in the batch the request rode in (0 when it never reached
-    /// the batcher).
+    /// a batch).
     pub batch_size: u64,
     /// `(phase label, ns)` in causal order; only phases that ran.
     pub phases: Vec<(String, u64)>,

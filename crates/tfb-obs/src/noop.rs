@@ -26,10 +26,6 @@ pub fn health_event(_kind: HealthKind, _detail: &str) {}
 #[inline(always)]
 pub fn record_grad_norm(_value: f64) {}
 
-/// No-op.
-#[inline(always)]
-pub fn steal_event(_from: usize, _to: usize, _moved: usize) {}
-
 /// Mirrors [`record::RunOptions`](crate::RunOptions); carried for API
 /// parity, never read.
 #[derive(Debug, Clone, Default)]

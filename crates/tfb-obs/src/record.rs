@@ -347,34 +347,6 @@ pub(crate) fn emit_trace_event(
     crate::flight::offer(&line);
 }
 
-/// Records one work-steal: shard `to` stole `moved` queued requests from
-/// shard `from`. Appends a `{"ev":"steal",…}` line so the trace exporter
-/// can draw cross-shard flow arrows (the steal *count* is a counter; this
-/// is the per-event record).
-pub fn steal_event(from: usize, to: usize, moved: usize) {
-    if !enabled() {
-        return;
-    }
-    let thread = THREAD_ID.with(|t| *t);
-    let mut guard = STATE.lock().expect("obs state poisoned");
-    let Some(state) = guard.as_mut() else {
-        return;
-    };
-    if state.sink.is_none() && !crate::flight::armed() {
-        return;
-    }
-    state.seq += 1;
-    let seq = state.seq;
-    let t_ns = state.start.elapsed().as_nanos() as u64;
-    let line = format!(
-        "{{\"ev\":\"steal\",\"seq\":{seq},\"t_ns\":{t_ns},\"thread\":{thread},\"from\":{from},\"to\":{to},\"moved\":{moved}}}"
-    );
-    if let Some(w) = state.sink.as_mut() {
-        let _ = writeln!(w, "{line}");
-    }
-    crate::flight::offer(&line);
-}
-
 /// Appends the profiler's flushed sample rows as `{"ev":"psample",…}`
 /// lines: one per (thread name, collapsed stack), carrying the sample
 /// count since the previous flush. Called by the sampler thread.

@@ -5,11 +5,14 @@
 //! end-to-end latency into monotone, non-negative **phases**:
 //!
 //! * `parse`    — request body decode and validation
-//! * `queue`    — from submit until the batcher opens a batch window
-//! * `collect`  — waiting inside the window for co-travelers
+//! * `queue`    — from submit until a combiner drains the request into
+//!   a batch (waiting for the shard's combiner role and the predicts
+//!   ahead of it)
+//! * `collect`  — waiting for co-travelers after a batch opens; the
+//!   flat-combining coalescer never waits, so this reads 0 there
 //! * `infer`    — the request's amortized share of the batch forward
 //!   (`predict_batch` wall time divided by the batch size)
-//! * `dispatch` — residual routing time between the batcher answering
+//! * `dispatch` — residual routing time between the combiner answering
 //!   and the handler observing the reply (clamped at zero)
 //! * `write`    — response serialization and the socket write
 //!
@@ -35,13 +38,13 @@ use std::time::Duration;
 pub enum Phase {
     /// Request body decode and validation.
     Parse,
-    /// From submit until the batcher opens the batch window.
+    /// From submit until a combiner drains the request into a batch.
     Queue,
-    /// Waiting inside the window for co-travelers.
+    /// Waiting for co-travelers after the batch opened.
     Collect,
     /// Amortized share of the batch `predict_batch` call.
     Infer,
-    /// Residual routing time from batcher reply to handler wake-up.
+    /// Residual routing time from the combiner's answer to handler wake-up.
     Dispatch,
     /// Response serialization and socket write.
     Write,
@@ -504,7 +507,7 @@ mod imp {
         }
 
         /// Absorbs the coalescer's per-request timing: queue/collect
-        /// are measured by the batcher, `infer_ns` is the amortized
+        /// are measured by the combiner, `infer_ns` is the amortized
         /// batch-forward share, and the residual since the last mark —
         /// reply routing and the handler wake-up — lands in `dispatch`
         /// (clamped at zero against cross-thread clock skew).

@@ -37,7 +37,7 @@ fn simulate_request(batch_id: u64) {
     assert!(t.active(), "trace must be live inside a run");
     std::thread::sleep(Duration::from_micros(30));
     t.mark(Phase::Parse);
-    // The "batcher-side" wait is measured for real: the three absorbed
+    // The coalescer-side wait is measured for real: the three absorbed
     // components sum to at most the wall time that actually passed.
     let waited_from = Instant::now();
     std::thread::sleep(Duration::from_micros(90));

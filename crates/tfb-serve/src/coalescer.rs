@@ -1,49 +1,41 @@
-//! The sharded, deadline-driven micro-batching coalescer: concurrent
-//! forecast requests are funneled through `predict_batch` calls, one
-//! batcher thread per shard, with cross-shard work stealing.
+//! The sharded, flat-combining micro-batching coalescer (Hendler,
+//! Incze, Shavit & Tzafrir, SPAA 2010): concurrent forecast requests are
+//! funneled through `predict_batch` calls that the submitting threads
+//! run themselves.
 //!
-//! State machine of each shard's batcher thread:
+//! `submit` enqueues without blocking and returns a [`Ticket`];
+//! [`Ticket::recv`] then moves its submitter through:
 //!
 //! ```text
-//!        ┌────────── queue empty ──────────┐
-//!        v                                 │
-//!   [ Idle ] ─ request arrives ──────> [ Filling ]
-//!        │  ^                              │  batch full, or the
-//!        │  └─ stole from a sibling        │  close deadline passes
-//!        steal poll                        v
-//!        └──────── route responses ── [ Predict ]
+//!   submit ──> [ Queued ] ── recv, no combiner ─────────> [ Combiner ]
+//!                  │                                  ^       │ drain the oldest model's rows,
+//!                  │ recv, the role is taken          │       │ predict outside the lock,
+//!                  v                                  │       │ answer + wake those rows;
+//!              [ Waiting ] ── handed the role ────────┘       │ repeat until its own row is
+//!                  │                                          │ answered, then hand the role
+//!                  └── row answered ──> [ Answered ] <────────┘ to the oldest waiter, if any
 //! ```
 //!
-//! * **Idle** — the thread sleeps on its shard's condvar with a short
-//!   steal-poll timeout; a local `submit` wakes it immediately, and on
-//!   each poll it scans sibling shards and steals the older half of any
-//!   backlog it finds (requests keep their arrival times, so stolen
-//!   work keeps its latency budget).
-//! * **Filling** — batches close on a **deadline**, not a fixed timer:
-//!   the batch drains the moment it holds `max_batch` requests, or at
-//!   `min(oldest_arrival + budget, open + coalesce_hint)` — so a shard
-//!   that was idle closes its first batch after only the short coalesce
-//!   hint, while a request that already sat out most of its latency
-//!   budget (behind a long predict, or stolen from a deep queue) is
-//!   answered the moment the batcher sees it.
-//! * **Predict** — the drained batch becomes one matrix, one
-//!   `predict_batch` call, and each output row is routed back to its
-//!   submitter's channel. `predict_batch` is bit-identical to per-row
-//!   `predict`, so neither batching, the shard a request lands on, nor
-//!   a steal ever changes a forecast.
+//! At most one thread per shard holds the combiner role. Each batch
+//! carries one model's rows (at most `max_batch`, oldest model first),
+//! and its combiner wakes only the submitters it answered. A lone request
+//! is thus predicted on its own thread with no handoff and no coalescing
+//! wait; batches form only from requests that queued while a predict
+//! ran. `predict_batch` is bit-identical to per-row `predict`, so neither
+//! batching nor the shard ever changes a forecast.
 //!
-//! Backpressure: every shard's queue is bounded by `queue_cap`; a
-//! `submit` into a full shard fails immediately with
-//! [`SubmitError::QueueFull`] (the server maps it to `429 Retry-After`)
-//! — memory stays bounded no matter the offered load. Shutdown drains:
-//! requests already queued are predicted and answered before the
-//! batcher threads exit; later submits fail with
-//! [`SubmitError::ShutDown`].
+//! Backpressure: each shard's queue holds at most `queue_cap` requests;
+//! a `submit` past it fails with [`SubmitError::QueueFull`] (HTTP 429).
+//! Shutdown drains: later submits fail with [`SubmitError::ShutDown`],
+//! and the shutting thread combines until every queue is empty, so an
+//! accepted request is answered even if its submitter never calls
+//! `recv`.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use tfb_math::matrix::Matrix;
 
@@ -79,17 +71,10 @@ impl BatchPredictor for tfb_artifact::ServableModel {
 /// Tuning knobs for the coalescer.
 #[derive(Debug, Clone)]
 pub struct CoalescerConfig {
-    /// Shard (batcher thread) count; `0` resolves to one per core.
+    /// Shard (queue + combiner role) count; `0` resolves to one per core.
     pub shards: usize,
     /// Largest batch one predict call carries.
     pub max_batch: usize,
-    /// Hard latency budget for a queued request: a batch closes no
-    /// later than the moment its oldest request's budget is about to be
-    /// spent on queueing alone.
-    pub budget: Duration,
-    /// Co-traveler wait after a batch opens on a previously idle shard
-    /// — the only latency a lone request pays beyond its own work.
-    pub coalesce_hint: Duration,
     /// Bound on queued (accepted, not yet predicted) requests *per
     /// shard*; submits beyond it shed with [`SubmitError::QueueFull`].
     pub queue_cap: usize,
@@ -100,29 +85,10 @@ impl Default for CoalescerConfig {
         CoalescerConfig {
             shards: 0,
             max_batch: 64,
-            budget: Duration::from_millis(2),
-            coalesce_hint: Duration::from_micros(150),
             queue_cap: 256,
         }
     }
 }
-
-impl CoalescerConfig {
-    /// `shards` with `0` resolved to the machine's parallelism.
-    pub fn resolved_shards(&self) -> usize {
-        if self.shards > 0 {
-            return self.shards;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-}
-
-/// How long an idle shard sleeps between steal scans. Local submits
-/// cut the wait short via the condvar, so this only bounds how stale a
-/// *sibling's* backlog can get before an idle shard picks it up.
-const STEAL_POLL: Duration = Duration::from_millis(1);
 
 /// Why a submit was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,21 +118,22 @@ impl std::fmt::Display for SubmitError {
     }
 }
 
-/// One answered request: the forecast plus the batcher-side timing the
+/// One answered request: the forecast plus the combiner-side timing the
 /// server folds into the request's trace.
 ///
-/// `queue_ns` is the wait from submit until the batcher opened this
-/// batch, `collect_ns` the co-traveler wait until the drain, and
-/// `infer_ns` the amortized share of the batched forward pass
+/// `queue_ns` is the wait from submit until a combiner drained the
+/// request (for the shard's role and for the predicts ahead of it),
+/// `collect_ns` is always 0 because no batch waits for co-travelers,
+/// and `infer_ns` is the amortized share of the batched forward pass
 /// (`predict_batch` elapsed / batch size) — so summing a request's
 /// phases never exceeds its end-to-end latency.
 #[derive(Debug)]
 pub struct BatchOutcome {
     /// The forecast row answering this request's window.
     pub forecast: Vec<f64>,
-    /// Nanoseconds from submit until the batch opened.
+    /// Nanoseconds from submit until a combiner drained the request.
     pub queue_ns: u64,
-    /// Nanoseconds waiting for co-travelers until the drain.
+    /// Nanoseconds waiting for co-travelers: always 0 under combining.
     pub collect_ns: u64,
     /// Amortized share of the batched forward pass, in nanoseconds.
     pub infer_ns: u64,
@@ -174,34 +141,75 @@ pub struct BatchOutcome {
     pub batch_id: u64,
     /// How many requests shared that batch.
     pub batch_size: usize,
-    /// Which shard's batcher ran the batch.
+    /// Which shard's queue the batch was drained from.
     pub shard: usize,
 }
 
-/// One queued request: its window, the model that must answer it, the
-/// channel its forecast returns on, and its arrival time — read
-/// unconditionally, because the deadline close is driven by request
-/// age, not a timer.
-///
-/// `key` identifies the model instance (the `Arc`'s address): a batch
-/// only ever carries requests with one key, because one `predict_batch`
-/// call runs one model. Single-model serving therefore batches exactly
-/// as before; fleet serving partitions each drain by model.
+/// Takes any mutex guard, poisoned or not. No code runs under the
+/// coalescer's locks that can leave their state half-updated (predicts
+/// run outside them, and a predictor panic is caught), so a poisoned
+/// lock still guards consistent data.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Where one request's answer lands and how its submitter is woken.
+#[derive(Default)]
+struct Slot {
+    state: Mutex<SlotState>,
+    wake: Condvar,
+    /// Set under the shard lock once the submitter sleeps in `recv`, so
+    /// a leaving combiner knows whom it may hand the role to, and an
+    /// answer knows to wake it. Relaxed suffices: it is written under the
+    /// shard lock before the waiter takes the slot lock, and read under
+    /// one of those two locks.
+    waiting: AtomicBool,
+}
+
+#[derive(Default)]
+enum SlotState {
+    /// Queued or inside a running batch.
+    #[default]
+    Pending,
+    /// A leaving combiner handed the shard's combiner role to this
+    /// request's submitter.
+    Combine,
+    /// The answer; `None` when the predictor panicked on its batch.
+    Answered(Option<Result<BatchOutcome, String>>),
+}
+
+impl Slot {
+    fn set(&self, state: SlotState) {
+        let mut guard = lock(&self.state);
+        *guard = state;
+        let waiting = self.waiting.load(Ordering::Relaxed);
+        drop(guard);
+        if waiting {
+            self.wake.notify_one();
+        }
+    }
+
+    fn is_answered(&self) -> bool {
+        matches!(*lock(&self.state), SlotState::Answered(_))
+    }
+}
+
+/// One queued request. A batch only carries requests whose `model` is
+/// the same instance, because one `predict_batch` call runs one model.
 struct Pending {
     window: Vec<f64>,
     model: Arc<dyn BatchPredictor>,
-    key: usize,
-    reply: mpsc::Sender<Result<BatchOutcome, String>>,
+    slot: Arc<Slot>,
     arrived: Instant,
 }
 
-/// The per-instance batching key of a model handle.
-fn model_key(model: &Arc<dyn BatchPredictor>) -> usize {
-    Arc::as_ptr(model) as *const () as usize
-}
-
+#[derive(Default)]
 struct ShardState {
     queue: VecDeque<Pending>,
+    /// Some thread holds the combiner role. While it is false no queued
+    /// request's submitter is waiting: a leaving combiner hands the role
+    /// to a waiter whenever one exists.
+    combining: bool,
     shutting_down: bool,
     /// High-water mark of the queue depth over the shard's life.
     hwm: usize,
@@ -217,112 +225,267 @@ struct ShardMetrics {
     fill: &'static tfb_obs::Gauge,
     batches: &'static tfb_obs::Counter,
     batched_requests: &'static tfb_obs::Counter,
-    steals: &'static tfb_obs::Counter,
 }
 
 impl ShardMetrics {
     fn new(shard: usize) -> ShardMetrics {
-        fn leak_name(shard: usize, what: &str) -> &'static str {
-            Box::leak(format!("serve/shard{shard}/{what}").into_boxed_str())
-        }
-        fn gauge(shard: usize, what: &str) -> &'static tfb_obs::Gauge {
-            Box::leak(Box::new(tfb_obs::Gauge::new(leak_name(shard, what))))
-        }
-        fn counter(shard: usize, what: &str) -> &'static tfb_obs::Counter {
-            Box::leak(Box::new(tfb_obs::Counter::new(leak_name(shard, what))))
-        }
+        let name = |what| &*Box::leak(format!("serve/shard{shard}/{what}").into_boxed_str());
+        let gauge = |what| &*Box::leak(Box::new(tfb_obs::Gauge::new(name(what))));
+        let counter = |what| &*Box::leak(Box::new(tfb_obs::Counter::new(name(what))));
         ShardMetrics {
-            depth: gauge(shard, "queue_depth"),
-            hwm: gauge(shard, "queue_hwm"),
-            fill: gauge(shard, "batch_fill"),
-            batches: counter(shard, "batches"),
-            batched_requests: counter(shard, "batched_requests"),
-            steals: counter(shard, "steals"),
+            depth: gauge("queue_depth"),
+            hwm: gauge("queue_hwm"),
+            fill: gauge("batch_fill"),
+            batches: counter("batches"),
+            batched_requests: counter("batched_requests"),
         }
     }
 }
 
 struct Shard {
+    index: usize,
+    max_batch: usize,
+    queue_cap: usize,
     state: Mutex<ShardState>,
-    notify: Condvar,
+    /// Wakes a draining `shutdown` when the combiner role is given up.
+    idle: Condvar,
     metrics: ShardMetrics,
-    /// Requests this shard stole from siblings (also on the metrics
-    /// counter; the atomic keeps the count readable without arming obs).
-    steals: AtomicU64,
 }
 
-struct Inner {
-    shards: Vec<Shard>,
-    cfg: CoalescerConfig,
+impl Shard {
+    fn set_depth(&self, depth: usize) {
+        self.metrics.depth.set(depth as f64);
+        tfb_obs::gauge!("serve/queue_depth").set(depth as f64);
+    }
+
+    /// Runs the combiner role, which the caller holds: batch after batch
+    /// until `own` is answered — or, for a shutdown drain (`own` is
+    /// `None`), until the queue is empty — then passes the role on.
+    fn combine(&self, own: Option<&Slot>) {
+        loop {
+            let mut state = lock(&self.state);
+            let done = match own {
+                Some(slot) => slot.is_answered(),
+                None => state.queue.is_empty(),
+            };
+            if done {
+                self.release(state);
+                return;
+            }
+            // One batch = one model: the oldest request's, with every
+            // queued co-traveler bound for that instance, FIFO otherwise.
+            let model = Arc::clone(&state.queue.front().expect("own row is queued").model);
+            let mut batch = Vec::new();
+            let mut i = 0;
+            while i < state.queue.len() && batch.len() < self.max_batch {
+                if Arc::ptr_eq(&state.queue[i].model, &model) {
+                    batch.push(state.queue.remove(i).expect("index in bounds"));
+                } else {
+                    i += 1;
+                }
+            }
+            self.set_depth(state.queue.len());
+            drop(state);
+            // Predict outside the lock so submitters never wait on the model.
+            self.run_batch(batch);
+        }
+    }
+
+    /// Hands the combiner role to the oldest queued request whose
+    /// submitter sleeps in `recv`, or gives the role up when none does.
+    fn release(&self, mut state: MutexGuard<'_, ShardState>) {
+        if let Some(next) = state
+            .queue
+            .iter()
+            .find(|p| p.slot.waiting.load(Ordering::Relaxed))
+        {
+            next.slot.set(SlotState::Combine);
+            return;
+        }
+        state.combining = false;
+        if state.shutting_down {
+            self.idle.notify_all();
+        }
+    }
+
+    /// Shuts the shard to new submits, waits for the combiner role and
+    /// combines until the queue is empty.
+    fn drain(&self) {
+        let mut state = lock(&self.state);
+        state.shutting_down = true;
+        let combining = |s: &mut ShardState| s.combining;
+        let mut state = self
+            .idle
+            .wait_while(state, combining)
+            .unwrap_or_else(PoisonError::into_inner);
+        state.combining = true;
+        drop(state);
+        self.combine(None);
+    }
+
+    fn run_batch(&self, batch: Vec<Pending>) {
+        let predictor = &batch[0].model;
+        let n = batch.len();
+        let batch_id = BATCH_SEQ.fetch_add(1, Ordering::Relaxed) + 1;
+        let drained = Instant::now();
+        let fill = n as f64 / self.max_batch as f64;
+        tfb_obs::histogram!("serve/batch_size").record(n as f64);
+        tfb_obs::counter!("serve/batched_requests").add(n as u64);
+        tfb_obs::counter!("serve/batches").add(1);
+        tfb_obs::gauge!("serve/batch_fill_ratio").set(fill);
+        self.metrics.batches.add(1);
+        self.metrics.batched_requests.add(n as u64);
+        self.metrics.fill.set(fill);
+        let width = predictor.input_len();
+        let mut flat = Vec::with_capacity(n * width);
+        for p in &batch {
+            flat.extend_from_slice(&p.window);
+        }
+        let infer_started = Instant::now();
+        // The combiner is some request's own thread: a panicking model
+        // must not take the shard's combiner role down with it.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let windows = Matrix::from_vec(n, width, flat).map_err(|e| e.to_string())?;
+            let _span = tfb_obs::span!("serve.batch")
+                .record("batch_id", batch_id as f64)
+                .record("shard", self.index as f64)
+                .record("rows", n as f64);
+            predictor.predict_batch(&windows)
+        }));
+        // Amortize the batched forward pass evenly: each co-traveler's
+        // `infer` share is elapsed / batch size, so one batch never counts
+        // its model time more than once across the requests it served.
+        let infer_ns = (infer_started.elapsed().as_nanos() as u64) / n as u64;
+        for (r, p) in batch.iter().enumerate() {
+            let answer = match &result {
+                Ok(Ok(out)) if r < out.rows() => Some(Ok(BatchOutcome {
+                    forecast: out.row(r).to_vec(),
+                    queue_ns: drained.saturating_duration_since(p.arrived).as_nanos() as u64,
+                    collect_ns: 0,
+                    infer_ns,
+                    batch_id,
+                    batch_size: n,
+                    shard: self.index,
+                })),
+                Ok(Ok(out)) => Some(Err(format!("model answered {} of {n} rows", out.rows()))),
+                Ok(Err(e)) => Some(Err(e.clone())),
+                Err(_panic) => None,
+            };
+            p.slot.set(SlotState::Answered(answer));
+        }
+    }
 }
 
-/// The micro-batching front of a [`BatchPredictor`]. Submitters block
-/// on their reply channel; one batcher thread per shard forms and runs
-/// batches, stealing across shards when its own queue is empty.
+/// Batch ids are process-unique and monotone; the `serve.batch` span and
+/// every request routed through the batch carry the same id, which is
+/// what the Perfetto exporter keys its flow arrows on.
+static BATCH_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A submitted request's claim on its answer.
+///
+/// Dropping a ticket unread leaves its request queued; a later combiner
+/// or the shutdown drain still predicts it.
+#[must_use = "a ticket does nothing until `recv` is called"]
+pub struct Ticket {
+    shard: Arc<Shard>,
+    slot: Arc<Slot>,
+}
+
+impl std::fmt::Debug for Ticket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ticket")
+            .field("shard", &self.shard.index)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Ticket {
+    /// Blocks until the request is answered. While no other thread
+    /// holds its shard's combiner role, the calling thread takes it and
+    /// runs the batches itself (its own row included); otherwise it
+    /// sleeps until a combiner answers its row or hands it the role.
+    ///
+    /// The outer `Err` means the model panicked on this request's batch;
+    /// the inner one carries a predict error.
+    pub fn recv(self) -> Result<Result<BatchOutcome, String>, mpsc::RecvError> {
+        let shard = &self.shard;
+        let mut state = lock(&shard.state);
+        if state.combining {
+            self.slot.waiting.store(true, Ordering::Relaxed);
+            drop(state);
+            let pending = |s: &mut SlotState| matches!(s, SlotState::Pending);
+            let mut slot = self
+                .slot
+                .wake
+                .wait_while(lock(&self.slot.state), pending)
+                .unwrap_or_else(PoisonError::into_inner);
+            if matches!(*slot, SlotState::Combine) {
+                *slot = SlotState::Pending;
+                drop(slot);
+                shard.combine(Some(&self.slot));
+            }
+        } else {
+            state.combining = true;
+            drop(state);
+            shard.combine(Some(&self.slot));
+        }
+        match std::mem::replace(&mut *lock(&self.slot.state), SlotState::Pending) {
+            SlotState::Answered(Some(answer)) => Ok(answer),
+            _ => Err(mpsc::RecvError),
+        }
+    }
+}
+
+/// The micro-batching front of a [`BatchPredictor`]: submitters enqueue
+/// onto a shard and, in [`Ticket::recv`], combine each other's requests
+/// into `predict_batch` calls.
 pub struct Coalescer {
-    inner: Arc<Inner>,
+    shards: Vec<Arc<Shard>>,
     /// The model `submit`/`submit_to` route to; `submit_model` routes
     /// per-request instead.
     default: Arc<dyn BatchPredictor>,
-    input_len: usize,
     round_robin: AtomicUsize,
-    batchers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Coalescer {
-    /// Starts one batcher thread per shard over `predictor`.
+    /// Opens one queue per shard over `predictor`; spawns no thread.
     pub fn start(predictor: Arc<dyn BatchPredictor>, cfg: CoalescerConfig) -> Coalescer {
         assert!(cfg.max_batch > 0, "max_batch must be positive");
         assert!(cfg.queue_cap > 0, "queue_cap must be positive");
-        let shards = cfg.resolved_shards();
-        let inner = Arc::new(Inner {
-            shards: (0..shards)
-                .map(|i| Shard {
-                    state: Mutex::new(ShardState {
-                        queue: VecDeque::new(),
-                        shutting_down: false,
-                        hwm: 0,
-                    }),
-                    notify: Condvar::new(),
-                    metrics: ShardMetrics::new(i),
-                    steals: AtomicU64::new(0),
+        let count = match cfg.shards {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        let shards: Vec<Arc<Shard>> = (0..count)
+            .map(|index| {
+                Arc::new(Shard {
+                    index,
+                    max_batch: cfg.max_batch,
+                    queue_cap: cfg.queue_cap,
+                    state: Mutex::default(),
+                    idle: Condvar::new(),
+                    metrics: ShardMetrics::new(index),
                 })
-                .collect(),
-            cfg,
-        });
-        tfb_obs::gauge!("serve/shards").set(shards as f64);
-        let input_len = predictor.input_len();
-        let batchers = (0..shards)
-            .map(|i| {
-                let worker_inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("tfb-serve-shard{i}"))
-                    .spawn(move || batcher_loop(worker_inner, i))
-                    .expect("spawn batcher thread")
             })
             .collect();
+        tfb_obs::gauge!("serve/shards").set(shards.len() as f64);
         Coalescer {
-            inner,
+            shards,
             default: predictor,
-            input_len,
             round_robin: AtomicUsize::new(0),
-            batchers,
         }
     }
 
     /// Shard count the coalescer is running with.
     pub fn shards(&self) -> usize {
-        self.inner.shards.len()
+        self.shards.len()
     }
 
     /// Enqueues one window on the next shard round-robin. Returns the
-    /// channel its forecast (or a predict error) arrives on, or sheds
+    /// ticket its forecast (or a predict error) is read from, or sheds
     /// immediately when the shard's queue is full, the length is wrong,
     /// or shutdown has begun.
-    pub fn submit(
-        &self,
-        window: Vec<f64>,
-    ) -> Result<mpsc::Receiver<Result<BatchOutcome, String>>, SubmitError> {
+    pub fn submit(&self, window: Vec<f64>) -> Result<Ticket, SubmitError> {
         let shard = self.round_robin.fetch_add(1, Ordering::Relaxed) % self.shards();
         self.submit_to(shard, window)
     }
@@ -330,31 +493,20 @@ impl Coalescer {
     /// [`submit`](Coalescer::submit) onto a specific shard — the server
     /// pins each connection to its accept shard so the hot path has no
     /// shared round-robin counter.
-    pub fn submit_to(
-        &self,
-        shard: usize,
-        window: Vec<f64>,
-    ) -> Result<mpsc::Receiver<Result<BatchOutcome, String>>, SubmitError> {
-        if window.len() != self.input_len {
-            return Err(SubmitError::BadWindow {
-                got: window.len(),
-                expected: self.input_len,
-            });
-        }
-        let model = Arc::clone(&self.default);
-        self.enqueue(shard, model, window)
+    pub fn submit_to(&self, shard: usize, window: Vec<f64>) -> Result<Ticket, SubmitError> {
+        self.submit_model(shard, Arc::clone(&self.default), window)
     }
 
     /// [`submit_to`](Coalescer::submit_to) routed to a specific model —
     /// the fleet server's per-request path. The window is validated
-    /// against *that* model's geometry, and the batcher only ever
-    /// groups it with co-travelers bound for the same model instance.
+    /// against *that* model's geometry, and a combiner only ever groups
+    /// it with co-travelers bound for the same model instance.
     pub fn submit_model(
         &self,
         shard: usize,
         model: Arc<dyn BatchPredictor>,
         window: Vec<f64>,
-    ) -> Result<mpsc::Receiver<Result<BatchOutcome, String>>, SubmitError> {
+    ) -> Result<Ticket, SubmitError> {
         if window.len() != model.input_len() {
             return Err(SubmitError::BadWindow {
                 got: window.len(),
@@ -369,18 +521,17 @@ impl Coalescer {
         shard: usize,
         model: Arc<dyn BatchPredictor>,
         window: Vec<f64>,
-    ) -> Result<mpsc::Receiver<Result<BatchOutcome, String>>, SubmitError> {
-        let key = model_key(&model);
-        let shard = &self.inner.shards[shard % self.shards()];
-        let (reply, rx) = mpsc::channel();
-        let arrived = Instant::now();
+    ) -> Result<Ticket, SubmitError> {
+        let shard = &self.shards[shard % self.shards()];
+        let cap = shard.queue_cap;
+        let slot = Arc::new(Slot::default());
         let hwm_spike;
         {
-            let mut state = shard.state.lock().expect("coalescer state poisoned");
+            let mut state = lock(&shard.state);
             if state.shutting_down {
                 return Err(SubmitError::ShutDown);
             }
-            if state.queue.len() >= self.inner.cfg.queue_cap {
+            if state.queue.len() >= cap {
                 tfb_obs::counter!("serve/shed").add(1);
                 drop(state);
                 // A shed is a flight trigger: capture the recent past
@@ -391,282 +542,46 @@ impl Coalescer {
             state.queue.push_back(Pending {
                 window,
                 model,
-                key,
-                reply,
-                arrived,
+                slot: Arc::clone(&slot),
+                arrived: Instant::now(),
             });
             let depth = state.queue.len();
-            shard.metrics.depth.set(depth as f64);
-            tfb_obs::gauge!("serve/queue_depth").set(depth as f64);
-            hwm_spike = depth > state.hwm && depth * 4 >= self.inner.cfg.queue_cap * 3;
+            shard.set_depth(depth);
+            hwm_spike = depth > state.hwm && depth * 4 >= cap * 3;
             if depth > state.hwm {
                 state.hwm = depth;
                 shard.metrics.hwm.set(depth as f64);
                 tfb_obs::gauge!("serve/queue_hwm").set(depth as f64);
             }
         }
-        shard.notify.notify_one();
         if hwm_spike {
             // A new high-water mark in the top quarter of the queue
             // bound means shedding is imminent — dump before it happens.
             tfb_obs::flight::dump("queue-hwm");
         }
-        Ok(rx)
+        Ok(Ticket {
+            shard: Arc::clone(shard),
+            slot,
+        })
     }
 
     /// Queued-but-unpredicted request count across all shards
     /// (test/metrics hook).
     pub fn backlog(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| {
-                s.state
-                    .lock()
-                    .expect("coalescer state poisoned")
-                    .queue
-                    .len()
-            })
-            .sum()
-    }
-
-    /// Requests answered by a different shard than the one they were
-    /// submitted to, over the coalescer's life.
-    pub fn steal_count(&self) -> u64 {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.steals.load(Ordering::Relaxed))
-            .sum()
+        self.shards.iter().map(|s| lock(&s.state).queue.len()).sum()
     }
 
     /// Drains and stops: already-queued requests are still predicted
     /// and answered; subsequent submits shed with `ShutDown`.
-    pub fn shutdown(mut self) {
-        self.begin_shutdown();
-        for handle in self.batchers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-
-    fn begin_shutdown(&self) {
-        for shard in &self.inner.shards {
-            shard
-                .state
-                .lock()
-                .expect("coalescer state poisoned")
-                .shutting_down = true;
-            shard.notify.notify_all();
-        }
+    pub fn shutdown(self) {
+        // `Drop` does the drain.
     }
 }
 
 impl Drop for Coalescer {
     fn drop(&mut self) {
-        self.begin_shutdown();
-        for handle in self.batchers.drain(..) {
-            let _ = handle.join();
+        for shard in &self.shards {
+            shard.drain();
         }
     }
-}
-
-/// Scans the sibling shards of `own` and steals the older half of the
-/// first backlog found (two or more queued requests — a lone request is
-/// left to its own shard's hint window to avoid ping-pong). Uses
-/// `try_lock` so a busy sibling is skipped, never waited on.
-fn steal_from_siblings(inner: &Inner, own: usize) -> Vec<Pending> {
-    let n = inner.shards.len();
-    for step in 1..n {
-        let victim_idx = (own + step) % n;
-        let victim = &inner.shards[victim_idx];
-        let Ok(mut state) = victim.state.try_lock() else {
-            continue;
-        };
-        if state.shutting_down || state.queue.len() < 2 {
-            continue;
-        }
-        // Oldest half: stolen requests are the ones closest to their
-        // budget, and FIFO order within each shard is preserved.
-        let take = (state.queue.len() / 2).min(inner.cfg.max_batch);
-        let stolen: Vec<Pending> = state.queue.drain(..take).collect();
-        victim.metrics.depth.set(state.queue.len() as f64);
-        drop(state);
-        let thief = &inner.shards[own];
-        thief
-            .steals
-            .fetch_add(stolen.len() as u64, Ordering::Relaxed);
-        thief.metrics.steals.add(stolen.len() as u64);
-        tfb_obs::counter!("serve/steals").add(stolen.len() as u64);
-        tfb_obs::steal_event(victim_idx, own, stolen.len());
-        return stolen;
-    }
-    Vec::new()
-}
-
-fn batcher_loop(inner: Arc<Inner>, shard_idx: usize) {
-    let cfg = &inner.cfg;
-    // Registered for the sampling profiler: the batcher's `serve.batch`
-    // spans become its sampled stack.
-    let _profiled =
-        tfb_obs::flight::profiler::register_thread(&format!("shard{shard_idx}-batcher"));
-    loop {
-        let (batch, opened) = {
-            let shard = &inner.shards[shard_idx];
-            let mut state = shard.state.lock().expect("coalescer state poisoned");
-            // Idle: wake on a local submit, poll siblings for steals.
-            loop {
-                if !state.queue.is_empty() {
-                    break;
-                }
-                if state.shutting_down {
-                    return;
-                }
-                if inner.shards.len() > 1 {
-                    drop(state);
-                    let stolen = steal_from_siblings(&inner, shard_idx);
-                    state = shard.state.lock().expect("coalescer state poisoned");
-                    if !stolen.is_empty() {
-                        state.queue.extend(stolen);
-                        continue;
-                    }
-                    if !state.queue.is_empty() || state.shutting_down {
-                        continue;
-                    }
-                }
-                let (next, _) = shard
-                    .notify
-                    .wait_timeout(state, STEAL_POLL)
-                    .expect("coalescer state poisoned");
-                state = next;
-            }
-            // Filling: close on the deadline, not a fixed timer — the
-            // moment the batch is full, the oldest request's budget is
-            // about to run out, or the coalesce hint has been spent
-            // waiting for co-travelers.
-            let opened = Instant::now();
-            let oldest = state.queue.front().expect("non-empty queue").arrived;
-            let deadline = (oldest + cfg.budget).min(opened + cfg.coalesce_hint);
-            while state.queue.len() < cfg.max_batch && !state.shutting_down {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (next, timeout) = shard
-                    .notify
-                    .wait_timeout(state, deadline - now)
-                    .expect("coalescer state poisoned");
-                state = next;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            // One batch = one model: take the oldest request's key and
-            // drain every queued co-traveler bound for the same model
-            // instance, preserving FIFO order among the rest. A mixed
-            // queue therefore drains per-model oldest-first, and a
-            // request is never grouped into another model's forward
-            // pass.
-            let key = state.queue.front().expect("non-empty queue").key;
-            let mut batch = Vec::new();
-            let mut i = 0;
-            while i < state.queue.len() && batch.len() < cfg.max_batch {
-                if state.queue[i].key == key {
-                    batch.push(state.queue.remove(i).expect("index in bounds"));
-                } else {
-                    i += 1;
-                }
-            }
-            shard.metrics.depth.set(state.queue.len() as f64);
-            tfb_obs::gauge!("serve/queue_depth").set(state.queue.len() as f64);
-            (batch, opened)
-        };
-        // Predict outside the lock so submitters never wait on the model.
-        run_batch(&inner, shard_idx, batch, opened);
-    }
-}
-
-/// Batch ids are process-unique and monotone; the `serve.batch` span and
-/// every request routed through the batch carry the same id, which is
-/// what the Perfetto exporter keys its flow arrows on.
-static BATCH_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn run_batch(inner: &Inner, shard_idx: usize, batch: Vec<Pending>, opened: Instant) {
-    if batch.is_empty() {
-        return;
-    }
-    // Every request in the batch carries the same model (same key), so
-    // the first one's handle drives the whole forward pass.
-    let predictor = Arc::clone(&batch[0].model);
-    let predictor = &*predictor;
-    let n = batch.len();
-    let max_batch = inner.cfg.max_batch;
-    let shard = &inner.shards[shard_idx];
-    let batch_id = BATCH_SEQ.fetch_add(1, Ordering::Relaxed) + 1;
-    let drained = Instant::now();
-    tfb_obs::histogram!("serve/batch_size").record(n as f64);
-    tfb_obs::counter!("serve/batched_requests").add(n as u64);
-    tfb_obs::counter!("serve/batches").add(1);
-    tfb_obs::gauge!("serve/batch_fill_ratio").set(n as f64 / max_batch as f64);
-    shard.metrics.batches.add(1);
-    shard.metrics.batched_requests.add(n as u64);
-    shard.metrics.fill.set(n as f64 / max_batch as f64);
-    let width = predictor.input_len();
-    let mut flat = Vec::with_capacity(n * width);
-    for p in &batch {
-        flat.extend_from_slice(&p.window);
-    }
-    let windows = match Matrix::from_vec(n, width, flat) {
-        Ok(m) => m,
-        Err(e) => {
-            for p in batch {
-                let _ = p.reply.send(Err(e.to_string()));
-            }
-            return;
-        }
-    };
-    let infer_started = Instant::now();
-    let result = {
-        let _span = tfb_obs::span!("serve.batch")
-            .record("batch_id", batch_id as f64)
-            .record("shard", shard_idx as f64)
-            .record("rows", n as f64);
-        predictor.predict_batch(&windows)
-    };
-    // Amortize the batched forward pass evenly: each co-traveler's
-    // `infer` share is elapsed / batch size, so one batch never counts
-    // its model time more than once across the requests it served.
-    let infer_ns = (infer_started.elapsed().as_nanos() as u64) / n as u64;
-    match result {
-        Ok(out) => {
-            let w = predictor.output_len();
-            debug_assert_eq!(out.cols(), w);
-            for (r, p) in batch.into_iter().enumerate() {
-                let (queue_ns, collect_ns) = wait_split(p.arrived, opened, drained);
-                let _ = p.reply.send(Ok(BatchOutcome {
-                    forecast: out.row(r).to_vec(),
-                    queue_ns,
-                    collect_ns,
-                    infer_ns,
-                    batch_id,
-                    batch_size: n,
-                    shard: shard_idx,
-                }));
-            }
-        }
-        Err(e) => {
-            for p in batch {
-                let _ = p.reply.send(Err(e.clone()));
-            }
-        }
-    }
-}
-
-/// Splits one request's pre-inference wait at the moment its batch
-/// opened: `queue` is submit → open, `collect` is open → drain (from
-/// the submit when the request arrived mid-fill). The two always sum to
-/// exactly submit → drain.
-fn wait_split(arrived: Instant, opened: Instant, drained: Instant) -> (u64, u64) {
-    let queue = opened.saturating_duration_since(arrived);
-    let collect = drained.saturating_duration_since(arrived.max(opened));
-    (queue.as_nanos() as u64, collect.as_nanos() as u64)
 }

@@ -2,10 +2,10 @@
 //! loaded model artifact.
 //!
 //! The serving path is the benchmark's batched-inference engine turned
-//! online: concurrent `POST /forecast` requests are coalesced for up to
-//! a small deadline ([`coalescer`]) and answered through one
-//! `predict_batch` call whose outputs are bit-identical to per-request
-//! `predict` — so serving changes latency, never forecasts. A bounded
+//! online: concurrent `POST /forecast` requests that queue while a
+//! predict runs are combined ([`coalescer`]) into one `predict_batch`
+//! call whose outputs are bit-identical to per-request `predict` — so
+//! serving changes latency, never forecasts. A bounded
 //! queue sheds overload with `429 Retry-After` (backpressure instead of
 //! unbounded memory), and SIGTERM/SIGINT (or `POST /shutdown`) drain
 //! gracefully: every accepted request is answered before the process
@@ -42,7 +42,9 @@ pub mod observe;
 pub mod server;
 
 pub use canary::CanaryStats;
-pub use coalescer::{BatchOutcome, BatchPredictor, Coalescer, CoalescerConfig, SubmitError};
+pub use coalescer::{
+    BatchOutcome, BatchPredictor, Coalescer, CoalescerConfig, SubmitError, Ticket,
+};
 pub use observe::{ObserveConfig, ObserveHub};
 pub use server::{
     install_signal_handlers, serve, serve_fleet, serve_with, signal_received, DrainReport,

@@ -3,12 +3,14 @@
 //! connection (keep-alive), the sharded coalescer as the single
 //! inference path, and graceful drain on shutdown.
 //!
-//! Sharding: the coalescer runs one batcher per shard; each shard also
-//! gets its own accept loop, and every connection a loop accepts is
-//! pinned to that loop's shard — the request hot path touches no
-//! cross-shard shared state (no global round-robin counter, no global
-//! queue lock). Load imbalance between shards is corrected on the
-//! batcher side by work stealing, not on the accept side.
+//! Sharding: each coalescer shard (a queue and its combiner role) gets
+//! its own accept loop, and every connection a loop accepts is pinned
+//! to that loop's shard — the request hot path touches no cross-shard
+//! shared state (no global round-robin counter, no global queue lock).
+//! The connection thread itself runs the batches: while its shard has
+//! no combiner it predicts its own request (and whatever queued beside
+//! it) in place, so a shard never has a backlog without a thread
+//! working on it.
 //!
 //! Endpoints:
 //!
@@ -29,7 +31,7 @@
 //! * `GET /healthz` — model geometry and `"status": "ok"`.
 //! * `GET /metrics` — the live [`tfb_obs`] state as an OpenMetrics text
 //!   exposition: per-phase request-latency histograms, queue-depth /
-//!   batch-fill gauges (global and per shard), shed and steal counters,
+//!   batch-fill gauges (global and per shard), shed counters,
 //!   SLO burn rates and slow-request exemplars. Valid
 //!   (`# EOF`-terminated, empty) even when no run is recording.
 //! * `GET /metrics.json` — the same snapshot as JSON (counters, gauges,
@@ -54,7 +56,7 @@
 //!
 //! Shutdown sequence: stop accepting; handler threads finish their
 //! in-flight request and stop reading new ones; the coalescer predicts
-//! what is already queued, answers it, and exits. Nothing accepted is
+//! whatever is still queued and answers it. Nothing accepted is
 //! dropped; nothing new is admitted.
 
 use std::io::BufReader;
@@ -200,15 +202,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// How many shards (accept loops + batchers) the server runs.
+    /// How many shards (accept loops + coalescer queues) the server runs.
     pub fn shards(&self) -> usize {
         self.ctx.coalescer.shards()
-    }
-
-    /// Requests answered by a different shard than the one they landed
-    /// on (see [`Coalescer::steal_count`]).
-    pub fn steal_count(&self) -> u64 {
-        self.ctx.coalescer.steal_count()
     }
 
     /// Flags the server to drain (idempotent; `POST /shutdown` and the
@@ -775,8 +771,8 @@ fn run_forecast(
     let ForecastBody { window, series, t } = body;
     // Clone the window only when a canary will actually mirror it.
     let mirror_window = route.canary.as_ref().map(|_| window.clone());
-    let rx = match ctx.coalescer.submit_model(shard, model, window) {
-        Ok(rx) => rx,
+    let ticket = match ctx.coalescer.submit_model(shard, model, window) {
+        Ok(t) => t,
         Err(SubmitError::QueueFull) => {
             resp.set_error(429, "request queue is full, retry shortly");
             resp.retry_after = Some(1);
@@ -785,7 +781,7 @@ fn run_forecast(
         Err(SubmitError::ShutDown) => return resp.set_error(503, "server is draining"),
         Err(e @ SubmitError::BadWindow { .. }) => return resp.set_error(400, &e.to_string()),
     };
-    match rx.recv() {
+    match ticket.recv() {
         Ok(Ok(out)) => {
             trace.absorb_batch(
                 out.queue_ns,
@@ -836,7 +832,7 @@ fn run_forecast(
             b.push_str("]}\n");
         }
         Ok(Err(model_err)) => resp.set_error(500, &model_err),
-        Err(mpsc::RecvError) => resp.set_error(500, "prediction worker dropped the request"),
+        Err(mpsc::RecvError) => resp.set_error(500, "the model panicked on this request's batch"),
     }
 }
 

@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tfb_artifact::{fit, ServableModel};
 use tfb_data::{ChronoSplit, Normalization, Normalizer};
@@ -13,10 +13,12 @@ use tfb_math::matrix::Matrix;
 use tfb_serve::{BatchPredictor, Coalescer, CoalescerConfig, SubmitError};
 
 /// Output row = `[2 * first input value, sum of inputs]` — a response
-/// that betrays any routing mix-up.
+/// that betrays any routing mix-up. Records each batch's size and the
+/// thread that ran it, and panics on a NaN first value.
 struct EchoPredictor {
     input_len: usize,
     batch_sizes: Mutex<Vec<usize>>,
+    threads: Mutex<Vec<std::thread::ThreadId>>,
     delay: Duration,
 }
 
@@ -25,6 +27,7 @@ impl EchoPredictor {
         EchoPredictor {
             input_len,
             batch_sizes: Mutex::new(Vec::new()),
+            threads: Mutex::new(Vec::new()),
             delay,
         }
     }
@@ -41,12 +44,17 @@ impl BatchPredictor for EchoPredictor {
 
     fn predict_batch(&self, windows: &Matrix) -> Result<Matrix, String> {
         self.batch_sizes.lock().unwrap().push(windows.rows());
+        self.threads
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
         if !self.delay.is_zero() {
             std::thread::sleep(self.delay);
         }
         let mut out = Matrix::zeros(windows.rows(), 2);
         for r in 0..windows.rows() {
             let row = windows.row(r);
+            assert!(!row[0].is_nan(), "the model panics on NaN");
             out.data_mut()[r * 2] = row[0] * 2.0;
             out.data_mut()[r * 2 + 1] = row.iter().sum();
         }
@@ -107,7 +115,6 @@ fn concurrent_load_actually_batches() {
             shards: 1,
             max_batch: 16,
             queue_cap: 256,
-            ..CoalescerConfig::default()
         },
     ));
     submit_concurrently(&coalescer, 32, 3);
@@ -162,32 +169,80 @@ fn batched_output_equals_sequential_predict_bitwise() {
 }
 
 #[test]
-fn a_lone_request_closes_on_the_coalesce_hint_not_the_budget() {
-    // Had the batch waited out its 2 s budget, the lone request's reply
-    // would take at least 2 s; the deadline close answers it once the
-    // default 150 µs coalesce hint expires.
-    assert_eq!(
-        CoalescerConfig::default().coalesce_hint,
-        Duration::from_micros(150)
-    );
+fn a_lone_request_is_predicted_on_its_submitters_own_thread() {
     let predictor = Arc::new(EchoPredictor::new(2, Duration::ZERO));
     let coalescer = Coalescer::start(
-        predictor as Arc<dyn BatchPredictor>,
+        Arc::clone(&predictor) as Arc<dyn BatchPredictor>,
         CoalescerConfig {
             shards: 1,
-            budget: Duration::from_secs(2),
             ..CoalescerConfig::default()
         },
     );
-    let t0 = Instant::now();
     let rx = coalescer.submit(vec![1.0, 2.0]).expect("submit");
-    rx.recv().expect("reply").expect("predict");
-    let waited = t0.elapsed();
-    assert!(
-        waited < Duration::from_millis(500),
-        "a lone request waited {waited:?}: the batch ignored the coalesce hint"
+    let out = rx.recv().expect("reply").expect("predict");
+    assert_eq!(out.forecast, vec![2.0, 3.0]);
+    assert_eq!(out.batch_size, 1);
+    assert_eq!(out.collect_ns, 0, "a lone request waited for co-travelers");
+    assert_eq!(
+        *predictor.threads.lock().unwrap(),
+        vec![std::thread::current().id()],
+        "the lone request was predicted on another thread"
     );
     coalescer.shutdown();
+}
+
+#[test]
+fn concurrent_submitters_across_models_each_get_their_own_row_once() {
+    // Three models on one shard with different window widths (2, 3, 4),
+    // so a batch that mixed models could not form its matrix, and 32
+    // submitters released at once; a 2 ms predict makes them queue.
+    let models: Vec<Arc<EchoPredictor>> = (2..5)
+        .map(|w| Arc::new(EchoPredictor::new(w, Duration::from_millis(2))))
+        .collect();
+    let coalescer = Coalescer::start(
+        Arc::clone(&models[0]) as Arc<dyn BatchPredictor>,
+        CoalescerConfig {
+            shards: 1,
+            max_batch: 8,
+            queue_cap: 64,
+        },
+    );
+    let barrier = std::sync::Barrier::new(32);
+    std::thread::scope(|scope| {
+        for i in 0..32 {
+            let (coalescer, barrier) = (&coalescer, &barrier);
+            let model = Arc::clone(&models[i % 3]);
+            scope.spawn(move || {
+                let width = model.input_len;
+                barrier.wait();
+                let rx = coalescer
+                    .submit_model(0, model, vec![i as f64; width])
+                    .expect("submit");
+                let out = rx.recv().expect("reply").expect("predict");
+                let want = vec![2.0 * i as f64, (i * width) as f64];
+                assert_eq!(out.forecast, want, "submitter {i} got a stranger's row");
+            });
+        }
+    });
+    // Every request was predicted exactly once, by its own model.
+    for (m, model) in models.iter().enumerate() {
+        let rows: usize = model.batch_sizes.lock().unwrap().iter().sum();
+        assert_eq!(rows, (0..32).filter(|i| i % 3 == m).count(), "model {m}");
+    }
+    coalescer.shutdown();
+}
+
+#[test]
+fn a_panicking_model_fails_its_batch_and_the_shard_keeps_serving() {
+    let coalescer = Coalescer::start(
+        Arc::new(EchoPredictor::new(2, Duration::ZERO)) as Arc<dyn BatchPredictor>,
+        CoalescerConfig::default(),
+    );
+    let rx = coalescer.submit_to(0, vec![f64::NAN, 0.0]).expect("submit");
+    assert!(rx.recv().is_err(), "the panicked batch's request must fail");
+    let rx = coalescer.submit_to(0, vec![1.0, 2.0]).expect("submit");
+    let out = rx.recv().expect("reply").expect("predict");
+    assert_eq!(out.forecast, vec![2.0, 3.0]);
 }
 
 #[test]
@@ -199,13 +254,12 @@ fn full_queue_sheds_instead_of_growing() {
             shards: 1,
             max_batch: 1,
             queue_cap: 2,
-            ..CoalescerConfig::default()
         },
     );
-    // Occupy the batcher, then fill the bounded queue.
+    // Nobody calls `recv` yet, so nothing drains: fill the bounded queue.
     let mut held = Vec::new();
     held.push(coalescer.submit(vec![0.0, 0.0]).expect("first submit"));
-    std::thread::sleep(Duration::from_millis(10)); // batcher now busy
+    std::thread::sleep(Duration::from_millis(10));
     let mut shed = 0;
     for i in 0..8 {
         match coalescer.submit(vec![i as f64, 0.0]) {
@@ -247,7 +301,6 @@ fn shutdown_drains_accepted_requests() {
             shards: 1,
             max_batch: 2,
             queue_cap: 64,
-            ..CoalescerConfig::default()
         },
     );
     let answered = Arc::new(AtomicUsize::new(0));

@@ -235,7 +235,6 @@ fn slow_server(queue_cap: usize) -> ServerHandle {
                 shards: 1,
                 max_batch: 1,
                 queue_cap,
-                ..CoalescerConfig::default()
             },
             ..ServerConfig::default()
         },
@@ -281,6 +280,23 @@ fn overload_sheds_with_429_and_retry_after() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_400_and_the_server_keeps_serving() {
+    let (served, reference) = lr_model(16, 4);
+    let dim = reference.dim();
+    let handle = serve(served, ServerConfig::default()).expect("serve");
+    let addr = handle.addr();
+    // 1 MB of `[`: well under the body cap, and deep enough to overflow
+    // the connection thread's stack in a parser without a depth limit.
+    let nested = request(addr, "POST", "/v1/forecast/LR", &"[".repeat(1_000_000));
+    assert_eq!(nested.status, 400, "{}", nested.body);
+    assert!(nested.body.contains("nesting"), "{}", nested.body);
+    let window: Vec<f64> = (0..16 * dim).map(|i| i as f64 * 0.1).collect();
+    let next = request(addr, "POST", "/v1/forecast/LR", &window_json(&window));
+    assert_eq!(next.status, 200, "{}", next.body);
+    handle.shutdown();
+}
+
+#[test]
 fn shutdown_endpoint_drains_gracefully() {
     let (served, _) = lr_model(16, 4);
     let handle = serve(served, ServerConfig::default()).expect("serve");
@@ -290,8 +306,8 @@ fn shutdown_endpoint_drains_gracefully() {
     assert_eq!(reply.status, 200);
     assert!(reply.body.contains("draining"), "{}", reply.body);
     assert!(handle.shutdown_requested());
-    // Joins the accept loop, every connection and the batcher — must
-    // not hang.
+    // Joins the accept loop and every connection, then drains the
+    // coalescer — must not hang.
     handle.shutdown();
 }
 

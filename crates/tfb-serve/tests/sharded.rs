@@ -1,6 +1,6 @@
 //! Sharding guarantees: an N-shard server answers byte-for-byte what a
-//! 1-shard server answers, and an idle shard steals a busy sibling's
-//! backlog instead of sleeping next to it.
+//! 1-shard server answers, and a slow batch on one shard never holds up
+//! a request on another.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -117,10 +117,19 @@ fn n_shard_server_answers_byte_identical_to_one_shard() {
     single.shutdown();
 }
 
-/// Output row = `[first input, batch row count]`, slow enough that a
-/// second shard has time to notice the backlog.
+/// Output row = `[first input, batch row count]`, after `delay`.
 struct SlowEcho {
     batches: Mutex<Vec<usize>>,
+    delay: Duration,
+}
+
+impl SlowEcho {
+    fn new(delay: Duration) -> Arc<SlowEcho> {
+        Arc::new(SlowEcho {
+            batches: Mutex::new(Vec::new()),
+            delay,
+        })
+    }
 }
 
 impl BatchPredictor for SlowEcho {
@@ -134,7 +143,7 @@ impl BatchPredictor for SlowEcho {
 
     fn predict_batch(&self, windows: &Matrix) -> Result<Matrix, String> {
         self.batches.lock().unwrap().push(windows.rows());
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(self.delay);
         let mut out = Matrix::zeros(windows.rows(), 2);
         for r in 0..windows.rows() {
             out.data_mut()[r * 2] = windows.row(r)[0];
@@ -145,33 +154,36 @@ impl BatchPredictor for SlowEcho {
 }
 
 #[test]
-fn idle_shard_steals_a_busy_siblings_backlog() {
-    let predictor = Arc::new(SlowEcho {
-        batches: Mutex::new(Vec::new()),
-    });
+fn a_slow_batch_on_one_shard_does_not_delay_a_request_on_another() {
+    let slow = SlowEcho::new(Duration::from_millis(50));
+    let fast = SlowEcho::new(Duration::ZERO);
     let coalescer = Coalescer::start(
-        predictor as Arc<dyn BatchPredictor>,
+        Arc::clone(&fast) as Arc<dyn BatchPredictor>,
         CoalescerConfig {
             shards: 2,
-            max_batch: 2,
-            queue_cap: 64,
             ..CoalescerConfig::default()
         },
     );
-    // Everything lands on shard 0: its batcher takes a small batch into
-    // a 30 ms predict, and the rest of the burst sits in shard 0's
-    // queue while shard 1 idles — exactly what stealing exists for.
-    let receivers: Vec<_> = (0..12)
-        .map(|i| coalescer.submit_to(0, vec![i as f64, 1.0]).expect("submit"))
-        .collect();
-    for (i, rx) in receivers.into_iter().enumerate() {
+    std::thread::scope(|scope| {
+        let model = Arc::clone(&slow) as Arc<dyn BatchPredictor>;
+        let coalescer = &coalescer;
+        let held = scope.spawn(move || {
+            let rx = coalescer.submit_model(0, model, vec![7.0, 0.0]);
+            rx.expect("submit").recv().expect("reply").expect("predict")
+        });
+        // Wait until shard 0's 50 ms batch is running.
+        while slow.batches.lock().unwrap().is_empty() {
+            std::thread::yield_now();
+        }
+        let rx = coalescer.submit_to(1, vec![3.0, 0.0]).expect("submit");
         let out = rx.recv().expect("reply").expect("predict");
-        assert_eq!(out.forecast[0], i as f64, "reply routed to wrong submitter");
-    }
-    assert!(
-        coalescer.steal_count() > 0,
-        "an idle shard never stole from a busy sibling's backlog"
-    );
+        assert!(
+            !held.is_finished(),
+            "the shard-1 request waited for shard 0's batch"
+        );
+        assert_eq!((out.forecast[0], out.shard, out.batch_size), (3.0, 1, 1));
+        assert_eq!(held.join().unwrap().shard, 0);
+    });
     coalescer.shutdown();
 }
 
@@ -179,16 +191,12 @@ fn idle_shard_steals_a_busy_siblings_backlog() {
 /// the round-robin entry point spreads work without a server in front.
 #[test]
 fn round_robin_submit_spreads_across_shards() {
-    let predictor = Arc::new(SlowEcho {
-        batches: Mutex::new(Vec::new()),
-    });
     let coalescer = Coalescer::start(
-        predictor as Arc<dyn BatchPredictor>,
+        SlowEcho::new(Duration::from_millis(30)) as Arc<dyn BatchPredictor>,
         CoalescerConfig {
             shards: 3,
             max_batch: 8,
             queue_cap: 64,
-            ..CoalescerConfig::default()
         },
     );
     assert_eq!(coalescer.shards(), 3);
@@ -201,10 +209,11 @@ fn round_robin_submit_spreads_across_shards() {
         assert_eq!(out.forecast[0], i as f64);
         shards_seen.insert(out.shard);
     }
-    // Stealing may consolidate work, but with three shards round-robin
-    // must involve more than one of them.
-    assert!(
-        shards_seen.len() > 1 || coalescer.steal_count() > 0,
+    // Each batch drains one shard's queue, so round-robin submits are
+    // answered from all three.
+    assert_eq!(
+        shards_seen.len(),
+        3,
         "round-robin submit never left shard {shards_seen:?}"
     );
     coalescer.shutdown();

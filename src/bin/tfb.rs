@@ -80,7 +80,7 @@ const USAGE: &str = "usage: tfb <command>
            [--quality SEL] [--quality-tol-pct P] [--history DIR|none]
   registry rollback NAME [--label prod] [--registry DIR]
   serve --model MODEL.tfba | --registry DIR [--addr HOST:PORT] [--shards N]
-        [--resident-cap N] [--batch-max N] [--budget-us N] [--queue-cap N]
+        [--resident-cap N] [--batch-max N] [--queue-cap N]
         [--out DIR] [--slo-ms MS] [--slo-objective Q] [--profile-hz HZ]
         [--canary-pct N] [--observe on|off] [--quality-window N]
         [--quality-slo-smape PCT] [--quality-slo-objective Q]
@@ -1978,14 +1978,13 @@ fn report_quality(drain: &tfb::serve::DrainReport, out_dir: Option<&Path>) {
 }
 
 /// Every flag `tfb serve` reads.
-const SERVE_FLAGS: [&str; 20] = [
+const SERVE_FLAGS: [&str; 19] = [
     "--model",
     "--registry",
     "--addr",
     "--shards",
     "--resident-cap",
     "--batch-max",
-    "--budget-us",
     "--queue-cap",
     "--out",
     "--slo-ms",
@@ -2001,6 +2000,108 @@ const SERVE_FLAGS: [&str; 20] = [
     "--history",
 ];
 
+/// The value of `flag` parsed as `T`, `None` when the flag is absent; a
+/// missing or unparsable value, or one `valid` refuses, is an error
+/// naming the flag.
+fn parse_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    valid: fn(&T) -> bool,
+) -> Result<Option<T>, String> {
+    if !args.iter().any(|a| a == flag) {
+        return Ok(None);
+    }
+    let raw = flag_value(args, flag).ok_or_else(|| format!("{flag} needs a value"))?;
+    match raw.parse::<T>() {
+        Ok(v) if valid(&v) => Ok(Some(v)),
+        _ => Err(format!("invalid value {raw:?} for {flag}")),
+    }
+}
+
+/// `tfb serve`'s non-text flags, each parsed where it enters.
+struct ServeFlags {
+    coalescer: tfb::serve::CoalescerConfig,
+    resident_cap: Option<usize>,
+    /// Set when `--slo-ms` or `--slo-objective` is given.
+    slo: Option<tfb_obs::trace::SloConfig>,
+    /// Set when any `--quality-*` knob is given; the others default.
+    quality: Option<tfb_obs::quality::QualityConfig>,
+    profile_hz: Option<u32>,
+    canary_pct: u8,
+    observe: bool,
+}
+
+impl ServeFlags {
+    fn parse(args: &[String]) -> Result<ServeFlags, String> {
+        let positive = |n: &usize| *n > 0;
+        let real = |flag| parse_flag::<f64>(args, flag, |x| x.is_finite());
+        let defaults = tfb::serve::CoalescerConfig::default();
+        let coalescer = tfb::serve::CoalescerConfig {
+            // 0 = one shard per core
+            shards: parse_flag(args, "--shards", |_| true)?.unwrap_or(defaults.shards),
+            max_batch: parse_flag(args, "--batch-max", positive)?.unwrap_or(defaults.max_batch),
+            queue_cap: parse_flag(args, "--queue-cap", positive)?.unwrap_or(defaults.queue_cap),
+        };
+        let ms_ok = |ms: &f64| std::time::Duration::try_from_secs_f64(ms / 1e3).is_ok();
+        let (slo_ms, slo_q) = (
+            parse_flag(args, "--slo-ms", ms_ok)?,
+            real("--slo-objective")?,
+        );
+        let slo = (slo_ms.is_some() || slo_q.is_some()).then(|| {
+            let mut slo = tfb_obs::trace::SloConfig::default();
+            if let Some(ms) = slo_ms {
+                slo.threshold = std::time::Duration::from_secs_f64(ms / 1e3);
+            }
+            if let Some(q) = slo_q {
+                slo.objective = q.clamp(0.0, 0.999_999);
+            }
+            slo
+        });
+        let window: Option<usize> = parse_flag(args, "--quality-window", |_| true)?;
+        let (smape, q_objective) = (
+            real("--quality-slo-smape")?,
+            real("--quality-slo-objective")?,
+        );
+        let (delta, lambda) = (real("--quality-ph-delta")?, real("--quality-ph-lambda")?);
+        let any_quality = [smape, q_objective, delta, lambda]
+            .iter()
+            .any(Option::is_some);
+        let quality = (window.is_some() || any_quality).then(|| {
+            let mut q = tfb_obs::quality::QualityConfig::default();
+            if let Some(w) = window {
+                q.window = w.max(1);
+            }
+            if let Some(d) = delta {
+                q.page_hinkley.delta = d.max(0.0);
+            }
+            if let Some(l) = lambda {
+                q.page_hinkley.lambda = l.max(0.0);
+            }
+            if smape.is_some() || q_objective.is_some() {
+                let mut slo = tfb_obs::quality::QualitySloConfig::default();
+                if let Some(s) = smape {
+                    slo.smape = s.max(0.0);
+                }
+                if let Some(o) = q_objective {
+                    slo.objective = o.clamp(0.0, 0.999_999);
+                }
+                q.slo = Some(slo);
+            }
+            q
+        });
+        Ok(ServeFlags {
+            coalescer,
+            resident_cap: parse_flag(args, "--resident-cap", |_| true)?,
+            slo,
+            quality,
+            profile_hz: parse_flag(args, "--profile-hz", |_| true)?,
+            canary_pct: parse_flag(args, "--canary-pct", |p: &u8| *p <= 100)?.unwrap_or(0),
+            observe: parse_flag(args, "--observe", |v: &String| v == "on" || v == "off")?
+                .is_none_or(|v| v == "on"),
+        })
+    }
+}
+
 fn cmd_serve(args: &[String]) -> ExitCode {
     // `flag_value` ignores flags nobody asks for, so a misspelled or
     // retired flag would otherwise serve silently with defaults.
@@ -2011,6 +2112,13 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         eprintln!("tfb serve: unknown flag {flag} (run `tfb` for the flag list)");
         return ExitCode::FAILURE;
     }
+    let flags = match ServeFlags::parse(args) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("tfb serve: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let model_path = flag_value(args, "--model");
     let registry_dir = flag_value(args, "--registry");
     if model_path.is_none() && registry_dir.is_none() {
@@ -2018,19 +2126,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let mut coalescer = tfb::serve::CoalescerConfig::default();
-    if let Some(n) = flag_value(args, "--shards").and_then(|v| v.parse().ok()) {
-        coalescer.shards = n; // 0 = one shard per core
-    }
-    if let Some(n) = flag_value(args, "--batch-max").and_then(|v| v.parse().ok()) {
-        coalescer.max_batch = n;
-    }
-    if let Some(us) = flag_value(args, "--budget-us").and_then(|v| v.parse().ok()) {
-        coalescer.budget = std::time::Duration::from_micros(us);
-    }
-    if let Some(n) = flag_value(args, "--queue-cap").and_then(|v| v.parse().ok()) {
-        coalescer.queue_cap = n;
-    }
     // Either a whole registry fleet or a single artifact. `--model` is
     // the original surface and stays: it materializes a one-entry
     // in-memory fleet, so routed requests work against it too.
@@ -2043,7 +2138,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             }
         };
         let mut fleet_cfg = tfb::registry::fleet::FleetConfig::default();
-        if let Some(n) = flag_value(args, "--resident-cap").and_then(|v| v.parse().ok()) {
+        if let Some(n) = flags.resident_cap {
             fleet_cfg.resident_cap = n;
         }
         match tfb::registry::fleet::Fleet::open(registry, fleet_cfg) {
@@ -2086,59 +2181,14 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     }
     // The SLO must be configured after arming: starting a run resets the
     // tracker so stale windows never leak across runs.
-    let slo_ms: Option<f64> = flag_value(args, "--slo-ms").and_then(|v| v.parse().ok());
-    let slo_objective: Option<f64> =
-        flag_value(args, "--slo-objective").and_then(|v| v.parse().ok());
-    if obs_armed && (slo_ms.is_some() || slo_objective.is_some()) {
-        let mut slo = tfb_obs::trace::SloConfig::default();
-        if let Some(ms) = slo_ms {
-            slo.threshold = std::time::Duration::from_secs_f64(ms.max(0.0) / 1e3);
-        }
-        if let Some(q) = slo_objective {
-            slo.objective = q.clamp(0.0, 0.999_999);
-        }
+    if let (true, Some(slo)) = (obs_armed, flags.slo) {
         tfb_obs::trace::configure_slo(slo);
     }
     // The quality layer: rolling forecast-vs-actual windows, drift
     // detectors and the quality SLO behind `/v1/observe`. Configured
     // after arming for the same reset-ordering reason as the latency
-    // SLO; defaults apply when only some knobs are given.
-    let q_window: Option<usize> = flag_value(args, "--quality-window").and_then(|v| v.parse().ok());
-    let q_slo_smape: Option<f64> =
-        flag_value(args, "--quality-slo-smape").and_then(|v| v.parse().ok());
-    let q_slo_objective: Option<f64> =
-        flag_value(args, "--quality-slo-objective").and_then(|v| v.parse().ok());
-    let q_ph_delta: Option<f64> =
-        flag_value(args, "--quality-ph-delta").and_then(|v| v.parse().ok());
-    let q_ph_lambda: Option<f64> =
-        flag_value(args, "--quality-ph-lambda").and_then(|v| v.parse().ok());
-    if obs_armed
-        && (q_window.is_some()
-            || q_slo_smape.is_some()
-            || q_slo_objective.is_some()
-            || q_ph_delta.is_some()
-            || q_ph_lambda.is_some())
-    {
-        let mut q = tfb_obs::quality::QualityConfig::default();
-        if let Some(w) = q_window {
-            q.window = w.max(1);
-        }
-        if let Some(d) = q_ph_delta {
-            q.page_hinkley.delta = d.max(0.0);
-        }
-        if let Some(l) = q_ph_lambda {
-            q.page_hinkley.lambda = l.max(0.0);
-        }
-        if q_slo_smape.is_some() || q_slo_objective.is_some() {
-            let mut slo = tfb_obs::quality::QualitySloConfig::default();
-            if let Some(s) = q_slo_smape {
-                slo.smape = s.max(0.0);
-            }
-            if let Some(o) = q_slo_objective {
-                slo.objective = o.clamp(0.0, 0.999_999);
-            }
-            q.slo = Some(slo);
-        }
+    // SLO.
+    if let (true, Some(q)) = (obs_armed, flags.quality) {
         tfb_obs::quality::configure(q);
     }
     // Arm the flight recorder: anomaly triggers (SLO burn, health
@@ -2165,9 +2215,13 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     }
     // The wall-clock sampling profiler is opt-in; samples land in the
     // event log (and any postmortem bundle) as `psample` events.
-    let profile_hz: u32 = flag_value(args, "--profile-hz")
-        .or_else(|| std::env::var("TFB_PROFILE_HZ").ok())
-        .and_then(|v| v.parse().ok())
+    let profile_hz: u32 = flags
+        .profile_hz
+        .or_else(|| {
+            std::env::var("TFB_PROFILE_HZ")
+                .ok()
+                .and_then(|v| v.parse().ok())
+        })
         .unwrap_or(0);
     if profile_hz > 0 && obs_armed {
         tfb_obs::flight::profiler::start(profile_hz);
@@ -2180,24 +2234,19 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         names.len(),
         names.join(", ")
     );
-    let canary_pct: u8 = flag_value(args, "--canary-pct")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-        .min(100);
+    let canary_pct = flags.canary_pct;
     if canary_pct > 0 {
         eprintln!("canary split: {canary_pct}% of default-label traffic routes to @canary");
     }
     let observe = tfb::serve::ObserveConfig {
-        enabled: flag_value(args, "--observe")
-            .map(|v| v != "off")
-            .unwrap_or(true),
+        enabled: flags.observe,
         ..tfb::serve::ObserveConfig::default()
     };
     let handle = match tfb::serve::serve_fleet(
         std::sync::Arc::new(fleet),
         tfb::serve::ServerConfig {
             addr,
-            coalescer,
+            coalescer: flags.coalescer,
             canary_pct,
             observe,
         },

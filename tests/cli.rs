@@ -138,8 +138,14 @@ fn serve_missing_artifact_path_is_a_structured_error() {
 #[test]
 fn serve_rejects_unknown_and_retired_flags_before_loading() {
     // `m.tfba` does not exist: the flag check must fire before any model
-    // is opened, so stderr names the flag, not a load failure.
-    for (flag, value) in [("--max-delay-ms", "5"), ("--shard", "2")] {
+    // is opened, so stderr names the flag, not a load failure. Unknown
+    // and retired flags are refused, and so are unparsable values.
+    for (flag, value) in [
+        ("--max-delay-ms", "5"),
+        ("--shard", "2"),
+        ("--budget-us", "5"),
+        ("--shards", "abc"),
+    ] {
         let out = tfb(&["serve", "--model", "m.tfba", flag, value]);
         assert!(!out.status.success(), "{flag} was accepted");
         let err = String::from_utf8_lossy(&out.stderr);
