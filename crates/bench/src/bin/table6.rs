@@ -7,30 +7,10 @@
 //! when deep methods have the better average error, and every method is
 //! noticeably better on series *without* shifting than with it.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use tfb_bench::table6::{aggregate, score_series};
 use tfb_bench::{results_dir, RunScale, UTSF_METHODS};
-use tfb_characteristics::CharacteristicVector;
-use tfb_core::eval::{evaluate, EvalSettings};
-use tfb_core::method::build_method;
-use tfb_core::Metric;
-use tfb_data::MultiSeries;
+use tfb_core::runner::par_map;
 use tfb_datagen::univariate::UnivariateArchive;
-
-struct SeriesResult {
-    tags: [bool; 5], // seasonality, trend, stationarity, transition, shifting
-    /// method -> (mase, msmape)
-    scores: BTreeMap<&'static str, (f64, f64)>,
-}
-
-const CHARACTERISTICS: [&str; 5] = [
-    "Seasonality",
-    "Trend",
-    "Stationarity",
-    "Transition",
-    "Shifting",
-];
 
 fn main() {
     tfb_bench::with_obs(env!("CARGO_BIN_NAME"), run);
@@ -49,107 +29,14 @@ fn run() {
         archive.len(),
         UTSF_METHODS.len()
     );
-    let results: Mutex<Vec<SeriesResult>> = Mutex::new(Vec::new());
-    let next = AtomicUsize::new(0);
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= archive.len() {
-                    break;
-                }
-                let s = &archive.series[i];
-                let horizon = UnivariateArchive::horizon_for(s.frequency);
-                let v = CharacteristicVector::of_series(s);
-                let t = v.tag(Default::default());
-                let tags = [
-                    t.seasonality,
-                    t.trend,
-                    t.stationary,
-                    t.transition,
-                    t.shifting,
-                ];
-                let multi = MultiSeries::from_uni(s);
-                let mut scores = BTreeMap::new();
-                for method_name in UTSF_METHODS {
-                    let settings = EvalSettings::fixed(horizon);
-                    let Ok(mut method) = build_method(
-                        method_name,
-                        settings.lookback,
-                        horizon,
-                        1,
-                        Some(scale.train_config()),
-                    ) else {
-                        continue;
-                    };
-                    if let Ok(out) = evaluate(&mut method, &multi, &settings) {
-                        scores.insert(
-                            method_name,
-                            (out.metric(Metric::Mase), out.metric(Metric::Msmape)),
-                        );
-                    }
-                }
-                results.lock().unwrap().push(SeriesResult { tags, scores });
-            });
-        }
+    let results = par_map(&archive.series, workers, |s| {
+        score_series(s, &UTSF_METHODS, scale.train_config())
     });
-    let results = results.into_inner().unwrap();
-
-    // Aggregate per characteristic presence/absence.
-    let mut csv = String::from("characteristic,present,method,mase,msmape,ranks\n");
-    for (ci, cname) in CHARACTERISTICS.iter().enumerate() {
-        for present in [true, false] {
-            let group: Vec<&SeriesResult> =
-                results.iter().filter(|r| r.tags[ci] == present).collect();
-            if group.is_empty() {
-                continue;
-            }
-            // Mean MASE/MSMAPE per method over finite scores, plus Ranks
-            // (count of series where the method has the best MSMAPE).
-            let mut sums: BTreeMap<&str, (f64, f64, usize)> = BTreeMap::new();
-            let mut wins: BTreeMap<&str, usize> = BTreeMap::new();
-            for r in &group {
-                let mut best: Option<(&str, f64)> = None;
-                for (&m, &(mase, msmape)) in &r.scores {
-                    if mase.is_finite() && msmape.is_finite() {
-                        let e = sums.entry(m).or_insert((0.0, 0.0, 0));
-                        e.0 += mase;
-                        e.1 += msmape;
-                        e.2 += 1;
-                    }
-                    if msmape.is_finite() && best.is_none_or(|(_, b)| msmape < b) {
-                        best = Some((m, msmape));
-                    }
-                }
-                if let Some((m, _)) = best {
-                    *wins.entry(m).or_insert(0) += 1;
-                }
-            }
-            println!(
-                "\n## {cname} = {} ({} series)",
-                if present { "yes" } else { "no" },
-                group.len()
-            );
-            println!("| method | mase | msmape | ranks |");
-            println!("|---|---|---|---|");
-            // Order by msmape ascending for readability.
-            let mut rows: Vec<(&str, f64, f64, usize)> = sums
-                .iter()
-                .map(|(&m, &(mase, msm, n))| {
-                    let n = n.max(1) as f64;
-                    (m, mase / n, msm / n, wins.get(m).copied().unwrap_or(0))
-                })
-                .collect();
-            rows.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal));
-            for (m, mase, msmape, ranks) in rows {
-                println!("| {m} | {mase:.3} | {msmape:.3} | {ranks} |");
-                csv.push_str(&format!("{cname},{present},{m},{mase},{msmape},{ranks}\n"));
-            }
-        }
-    }
+    let (markdown, csv) = aggregate(&results);
+    print!("{markdown}");
     let path = results_dir().join("table6.csv");
     std::fs::write(&path, csv).expect("write table6.csv");
     println!("\nwrote {}", path.display());

@@ -10,10 +10,10 @@
 //! widest datasets.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use tfb_bench::{emit, eval_best_lookback, RunScale, MTSF_METHODS};
 use tfb_core::data::DatasetCharacteristics;
 use tfb_core::report::ResultTable;
+use tfb_core::runner::par_map;
 use tfb_core::Metric;
 
 fn main() {
@@ -61,8 +61,6 @@ fn run() {
         MTSF_METHODS.len(),
         jobs.len()
     );
-    let table = Mutex::new(ResultTable::default());
-    let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -72,28 +70,20 @@ fn run() {
         .iter()
         .map(|(_, p)| (p.name, p.generate(scale.data_scale())))
         .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let job = &jobs[i];
-                let series = &datasets[job.profile.name];
-                if let Some(out) =
-                    eval_best_lookback(&job.profile, series, job.method, job.horizon, scale)
-                {
-                    table.lock().unwrap().push(&out);
-                }
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if d.is_multiple_of(50) {
-                    eprintln!("  {d}/{} jobs done", jobs.len());
-                }
-            });
+    // Rows go into the table in job order, whichever job finishes first.
+    let outcomes = par_map(&jobs, workers, |job| {
+        let series = &datasets[job.profile.name];
+        let out = eval_best_lookback(&job.profile, series, job.method, job.horizon, scale);
+        let d = done.fetch_add(1, Ordering::Relaxed) + 1;
+        if d.is_multiple_of(50) {
+            eprintln!("  {d}/{} jobs done", jobs.len());
         }
+        out
     });
-    let table = table.into_inner().unwrap();
+    let mut table = ResultTable::default();
+    for out in outcomes.iter().flatten() {
+        table.push(out);
+    }
     println!("\n### MAE (datasets ordered by increasing trend strength)\n");
     emit(&table, "table7_8_mae", Metric::Mae);
     println!("\n### MSE\n");

@@ -279,7 +279,8 @@ fn run_math(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
             let out = std::cell::RefCell::new(data(n, n as u64 + 9, false));
             Box::new(move || {
                 let mut out = out.borrow_mut();
-                kernel::gemm_row_ktile(black_box(&lhs), black_box(&rhs), n, black_box(&mut out));
+                let (lhs, rhs) = (black_box(&lhs), black_box(&rhs));
+                kernel::gemm(lhs, depth, rhs, n, black_box(&mut out));
                 out[0]
             })
         }

@@ -17,6 +17,7 @@ pub mod engines;
 pub mod harness;
 pub mod measure;
 pub mod suite;
+pub mod table6;
 pub mod toml;
 
 use std::path::PathBuf;

@@ -246,32 +246,40 @@ pub fn run_jobs(
             .map(|job| run_job(config, job, &cache, train_config))
             .collect(),
         Parallelism::Threads(n) => {
-            let n = n.max(1);
-            let results: Vec<Mutex<Option<Result<EvalOutcome>>>> =
-                jobs.iter().map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..n {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        let out = run_job(config, &jobs[i], &cache, train_config);
-                        *results[i].lock().expect("result slot poisoned") = Some(out);
-                    });
-                }
-            });
-            results
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .expect("result slot poisoned")
-                        .expect("worker filled every slot")
-                })
-                .collect()
+            par_map(&jobs, n, |job| run_job(config, job, &cache, train_config))
         }
     }
+}
+
+/// `items.iter().map(f)` on `workers` scoped threads (at least one): each
+/// worker takes the next unclaimed index and writes its result into that
+/// index's slot, so the results come back in input order whatever order
+/// the workers finish in, and whatever is folded over them afterwards
+/// adds up the same at any worker count.
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers.max(1) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                *slots[i].lock().expect("result slot poisoned") = Some(f(item));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("result slot poisoned")
+                .expect("worker filled every slot")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -305,6 +313,22 @@ mod tests {
             assert!(o.metric(crate::Metric::Mae).is_finite());
             assert_eq!(o.dataset, "ILI");
         }
+    }
+
+    #[test]
+    fn par_map_returns_results_in_input_order() {
+        // Early items take longest, so with more than one worker the later
+        // items finish first; the slots must still come back in order.
+        let items: Vec<u64> = (0..24).collect();
+        let want: Vec<u64> = items.iter().map(|i| i * i).collect();
+        for workers in [1, 2, 3] {
+            let got = par_map(&items, workers, |&i| {
+                std::thread::sleep(std::time::Duration::from_micros(200 * (24 - i)));
+                i * i
+            });
+            assert_eq!(got, want, "{workers} workers");
+        }
+        assert!(par_map(&[] as &[u64], 2, |&i| i).is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Runtime-selected dense microkernels: dot, axpy, and the GEMM
-//! k-tile update, each in a scalar reference form and a 4x-unrolled
-//! form (compiled additionally with AVX2 enabled where the CPU has it).
+//! Runtime-selected dense microkernels: dot, axpy, and the blocked GEMM,
+//! each in a scalar reference form and a 4x-unrolled form (compiled
+//! additionally with AVX2 enabled where the CPU has it).
 //!
 //! Every unrolled kernel performs *exactly the same floating-point
 //! operations in exactly the same per-element order* as its scalar
@@ -284,13 +284,43 @@ pub fn axpy(a: f64, x: &[f64], out: &mut [f64]) {
 }
 
 // ---------------------------------------------------------------------
-// GEMM k-tile row update: out_row[j] += Σ_k lhs[k] * rhs[k*n + j],
-// k ascending, skipping lhs[k] == 0.0 — one row of the blocked ikj
-// kernel's inner work.
+// GEMM: out += lhs · rhs for a whole product. The path is picked once per
+// product; k-tiles ascend, and within a tile every output row takes its
+// k terms in ascending order, skipping lhs[k] == 0.0.
 // ---------------------------------------------------------------------
 
+/// k-tile width of [`gemm`]: 128 columns of the left operand, so one
+/// k-slab of the right operand is 128 rows and stays L2-resident while
+/// every output row takes its update from it.
+pub const K_TILE: usize = 128;
+
+/// The k-tile loop shared by every path: tiles outside, rows inside, so
+/// a large product streams each k-slab of `rhs` once rather than once
+/// per output row.
 #[inline(always)]
-fn gemm_row_ktile_scalar(lhs: &[f64], rhs: &[f64], n: usize, out_row: &mut [f64]) {
+fn gemm_tiles(
+    lhs: &[f64],
+    depth: usize,
+    rhs: &[f64],
+    n: usize,
+    out: &mut [f64],
+    row: impl Fn(&[f64], &[f64], usize, &mut [f64]),
+) {
+    if n == 0 {
+        return;
+    }
+    for k0 in (0..depth).step_by(K_TILE) {
+        let k1 = (k0 + K_TILE).min(depth);
+        let slab = &rhs[k0 * n..k1 * n];
+        for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+            row(&lhs[i * depth + k0..i * depth + k1], slab, n, out_row);
+        }
+    }
+}
+
+/// One row's update from one k-tile, the reference loop.
+#[inline(always)]
+fn gemm_row_scalar(lhs: &[f64], rhs: &[f64], n: usize, out_row: &mut [f64]) {
     for (k, &a) in lhs.iter().enumerate() {
         if a == 0.0 {
             continue;
@@ -302,68 +332,104 @@ fn gemm_row_ktile_scalar(lhs: &[f64], rhs: &[f64], n: usize, out_row: &mut [f64]
     }
 }
 
-/// Register-blocked update: four `k` steps fused per pass over the
+/// Register-blocked row update: four `k` steps fused per pass over the
 /// output row. Each output element still receives its `k` terms in
 /// ascending order (`a0` then `a1` then `a2` then `a3`), so the fused
-/// pass is bit-identical to four scalar axpys — it just loads the
-/// output row once instead of four times. A block containing a zero
-/// falls back to the per-`k` skip semantics.
+/// pass is bit-identical to four scalar updates; it just loads and
+/// stores the output row once instead of four times. A block holding a
+/// zero, and the last 1–3 steps of the tile, fuse their non-zero terms
+/// into one pass the same way.
 #[inline(always)]
-fn gemm_row_ktile_unrolled(lhs: &[f64], rhs: &[f64], n: usize, out_row: &mut [f64]) {
+fn gemm_row_unrolled(lhs: &[f64], rhs: &[f64], n: usize, out_row: &mut [f64]) {
     let width = n.min(out_row.len());
     let out_row = &mut out_row[..width];
+    let row = |k: usize| &rhs[k * n..k * n + width];
     let mut k = 0;
     while k + 4 <= lhs.len() {
-        let (a0, a1, a2, a3) = (lhs[k], lhs[k + 1], lhs[k + 2], lhs[k + 3]);
-        if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 {
-            let b0 = &rhs[k * n..(k + 1) * n];
-            let b1 = &rhs[(k + 1) * n..(k + 2) * n];
-            let b2 = &rhs[(k + 2) * n..(k + 3) * n];
-            let b3 = &rhs[(k + 3) * n..(k + 4) * n];
-            for j in 0..out_row.len() {
-                let mut o = out_row[j];
-                o += a0 * b0[j];
-                o += a1 * b1[j];
-                o += a2 * b2[j];
-                o += a3 * b3[j];
-                out_row[j] = o;
-            }
+        let a = [lhs[k], lhs[k + 1], lhs[k + 2], lhs[k + 3]];
+        if a.iter().all(|&v| v != 0.0) {
+            let b = [row(k), row(k + 1), row(k + 2), row(k + 3)];
+            fused_pass(&a, &b, out_row);
         } else {
-            for (i, &a) in [a0, a1, a2, a3].iter().enumerate() {
-                if a != 0.0 {
-                    axpy_unrolled(a, &rhs[(k + i) * n..(k + i + 1) * n], out_row);
-                }
-            }
+            fused_nonzero(&lhs[k..k + 4], k, row, out_row);
         }
         k += 4;
     }
-    while k < lhs.len() {
-        let a = lhs[k];
-        if a != 0.0 {
-            axpy_unrolled(a, &rhs[k * n..(k + 1) * n], out_row);
-        }
-        k += 1;
+    if k < lhs.len() {
+        fused_nonzero(&lhs[k..], k, row, out_row);
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_row_ktile_avx2(lhs: &[f64], rhs: &[f64], n: usize, out_row: &mut [f64]) {
-    gemm_row_ktile_unrolled(lhs, rhs, n, out_row)
+/// One fused pass over the non-zero terms among `a` (at most four, the
+/// left-hand values of rows `first..` of the right operand).
+#[inline(always)]
+fn fused_nonzero<'a>(a: &[f64], first: usize, row: impl Fn(usize) -> &'a [f64], out: &mut [f64]) {
+    let mut terms = [(0.0, 0); 4];
+    let mut held = 0;
+    for (i, &v) in a.iter().enumerate() {
+        if v != 0.0 {
+            terms[held] = (v, first + i);
+            held += 1;
+        }
+    }
+    let [(a0, k0), (a1, k1), (a2, k2), (a3, k3)] = terms;
+    match held {
+        1 => fused_pass(&[a0], &[row(k0)], out),
+        2 => fused_pass(&[a0, a1], &[row(k0), row(k1)], out),
+        3 => fused_pass(&[a0, a1, a2], &[row(k0), row(k1), row(k2)], out),
+        4 => fused_pass(
+            &[a0, a1, a2, a3],
+            &[row(k0), row(k1), row(k2), row(k3)],
+            out,
+        ),
+        _ => {}
+    }
 }
 
-/// Accumulates one k-tile of `lhs_row * rhs` into `out_row`: `lhs` is
-/// the row's k-tile slice, `rhs` the matching `lhs.len()` × `n` slab of
-/// the right operand, row-major.
+/// `out[j] += a[0]*b[0][j]; out[j] += a[1]*b[1][j]; …` in one pass over
+/// `out`, for `T` = 1–4 terms; every `b[t]` is `out.len()` long.
+#[inline(always)]
+fn fused_pass<const T: usize>(a: &[f64; T], b: &[&[f64]; T], out: &mut [f64]) {
+    for j in 0..out.len() {
+        let mut o = out[j];
+        for t in 0..T {
+            o += a[t] * b[t][j];
+        }
+        out[j] = o;
+    }
+}
+
+/// [`gemm`] on the unrolled rows, compiled with AVX2.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_avx2(lhs: &[f64], depth: usize, rhs: &[f64], n: usize, out: &mut [f64]) {
+    gemm_tiles(lhs, depth, rhs, n, out, gemm_row_unrolled)
+}
+
+/// `out += lhs · rhs`: `lhs` is row-major `out.len() / n` rows by `depth`
+/// columns, `rhs` row-major `depth` × `n`, `out` row-major with `n`
+/// columns. The kernel path is read once for the whole product.
+///
+/// Every output element adds its `k` terms to its prior value in
+/// ascending `k` order and skips the terms whose left-hand value is
+/// `0.0`, so `0 · inf` never reaches a sum; on every path the result
+/// equals the plain ikj triple loop bit for bit (where it is NaN, the
+/// payload may come from another NaN operand).
 #[inline]
-pub fn gemm_row_ktile(lhs: &[f64], rhs: &[f64], n: usize, out_row: &mut [f64]) {
+pub fn gemm(lhs: &[f64], depth: usize, rhs: &[f64], n: usize, out: &mut [f64]) {
     match active() {
-        KernelPath::Scalar => gemm_row_ktile_scalar(lhs, rhs, n, out_row),
-        KernelPath::Unrolled => gemm_row_ktile_unrolled(lhs, rhs, n, out_row),
+        KernelPath::Scalar => gemm_tiles(lhs, depth, rhs, n, out, gemm_row_scalar),
+        KernelPath::Unrolled => gemm_tiles(lhs, depth, rhs, n, out, gemm_row_unrolled),
+        // SAFETY: the AVX2 path is chosen where `best_unrolled` detected
+        // AVX2, as every other dispatcher here relies on.
         #[cfg(target_arch = "x86_64")]
-        KernelPath::UnrolledAvx2 => unsafe { gemm_row_ktile_avx2(lhs, rhs, n, out_row) },
+        KernelPath::UnrolledAvx2 => unsafe { gemm_avx2(lhs, depth, rhs, n, out) },
         #[cfg(not(target_arch = "x86_64"))]
-        KernelPath::UnrolledAvx2 => gemm_row_ktile_unrolled(lhs, rhs, n, out_row),
+        KernelPath::UnrolledAvx2 => gemm_tiles(lhs, depth, rhs, n, out, gemm_row_unrolled),
     }
 }
 

@@ -131,7 +131,7 @@ impl Matrix {
             let bt = rhs.transpose();
             mul_rows_transposed(&self.data, self.cols, &bt.data, 0, &mut out.data);
         } else {
-            mul_rows_blocked(&self.data, self.cols, &rhs.data, rhs.cols, 0, &mut out.data);
+            kernel::gemm(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
         }
         Ok(out)
     }
@@ -406,11 +406,6 @@ impl Matrix {
     }
 }
 
-/// k-tile width of the blocked kernel: 128 columns of the left operand
-/// (one k-slab of `rhs` is then 128 rows, which stays L2-resident for the
-/// output widths the evaluation engine produces).
-const MATMUL_K_TILE: usize = 128;
-
 /// Below this many multiply-adds, thread spawn overhead beats the speedup.
 const PAR_MATMUL_MIN_FLOPS: usize = 1 << 20;
 
@@ -484,63 +479,53 @@ pub fn par_gemm(
     if workers < 2 {
         match &bt {
             Some(bt) => mul_rows_transposed(lhs, depth, bt, 0, out),
-            None => mul_rows_blocked(lhs, depth, rhs, out_cols, 0, out),
+            None => kernel::gemm(lhs, depth, rhs, out_cols, out),
         }
         return;
     }
     let rows_per_worker = rows.div_ceil(workers);
     std::thread::scope(|scope| {
-        for (block, chunk) in out.chunks_mut(rows_per_worker * out_cols).enumerate() {
+        let lhs_blocks = lhs.chunks(rows_per_worker * depth);
+        let out_blocks = out.chunks_mut(rows_per_worker * out_cols);
+        for (block, (lhs_rows, chunk)) in lhs_blocks.zip(out_blocks).enumerate() {
             let row_start = block * rows_per_worker;
             let bt = bt.as_deref();
             scope.spawn(move || match bt {
                 Some(bt) => mul_rows_transposed(lhs, depth, bt, row_start, chunk),
-                None => mul_rows_blocked(lhs, depth, rhs, out_cols, row_start, chunk),
+                None => kernel::gemm(lhs_rows, depth, rhs, out_cols, chunk),
             });
         }
     });
 }
 
-/// Blocked ikj kernel computing output rows `row_start..` of `lhs * rhs`
-/// into `out_rows` (a row-major slab of full output rows). `lhs` has
-/// `depth` columns, `rhs` has `n` columns.
-///
-/// For every output element the reduction over `k` runs in ascending
-/// order (tiles ascend, `k` ascends within a tile), matching the plain
-/// ikj kernel bit-for-bit. Zero left-hand terms are skipped, which keeps
-/// the historical semantics for non-finite right-hand values.
-fn mul_rows_blocked(
+/// `out += lhs · rhs` on the blocked kernel, single-threaded, for callers
+/// that accumulate a product over several calls (LR's normal equations,
+/// block by block). `lhs` is `rows` × `depth`, `rhs` is `depth` ×
+/// `out_cols`, all row-major. Unlike [`par_gemm`], whose deep
+/// single-column path assigns its dot products, every shape here adds to
+/// what `out` holds, each element taking its `k` terms in ascending order
+/// with the zero-skip; so accumulating the row blocks of a product in
+/// order gives the one-call product bit for bit.
+pub fn gemm_acc(
     lhs: &[f64],
+    rows: usize,
     depth: usize,
     rhs: &[f64],
-    n: usize,
-    row_start: usize,
-    out_rows: &mut [f64],
+    out_cols: usize,
+    out: &mut [f64],
 ) {
-    if n == 0 {
-        return;
-    }
-    let nrows = out_rows.len() / n;
-    for k_tile in (0..depth).step_by(MATMUL_K_TILE) {
-        let k_end = (k_tile + MATMUL_K_TILE).min(depth);
-        for ii in 0..nrows {
-            let i = row_start + ii;
-            let lhs_row = &lhs[i * depth..(i + 1) * depth];
-            let out_row = &mut out_rows[ii * n..(ii + 1) * n];
-            kernel::gemm_row_ktile(
-                &lhs_row[k_tile..k_end],
-                &rhs[k_tile * n..k_end * n],
-                n,
-                out_row,
-            );
-        }
-    }
+    assert_eq!(lhs.len(), rows * depth, "gemm_acc lhs shape");
+    assert_eq!(rhs.len(), depth * out_cols, "gemm_acc rhs shape");
+    assert_eq!(out.len(), rows * out_cols, "gemm_acc out shape");
+    tfb_obs::counter!("gemm/calls").add(1);
+    tfb_obs::counter!("gemm/flops_est").add(2 * (rows * depth * out_cols) as u64);
+    kernel::gemm(lhs, depth, rhs, out_cols, out);
 }
 
 /// Dot-product kernel over a pre-transposed right operand (`bt` is
 /// `n` × `depth` row-major). Used for deep single-column products where
 /// the blocked kernel has no output row to vectorize over. Accumulation
-/// order and the zero-skip match [`mul_rows_blocked`] exactly.
+/// order and the zero-skip match [`kernel::gemm`] exactly.
 fn mul_rows_transposed(
     lhs: &[f64],
     depth: usize,

@@ -58,7 +58,7 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 }
 
 /// Lengths straddling the 4-wide unroll: tails of 0..=3, tiny and
-/// empty inputs, and lengths past the 128-wide GEMM k-tile.
+/// empty inputs, and lengths past 128.
 const LENGTHS: &[usize] = &[0, 1, 2, 3, 4, 5, 7, 8, 15, 31, 64, 100, 127, 128, 129, 300];
 
 #[test]
@@ -115,33 +115,77 @@ fn axpy_matches_scalar_bitwise() {
     }
 }
 
+/// The plain ikj triple loop with the zero-skip, accumulating into `out`:
+/// the reference every path of [`kernel::gemm`] must reproduce.
+fn triple_loop(lhs: &[f64], depth: usize, rhs: &[f64], n: usize, out: &mut [f64]) {
+    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+        for k in 0..depth {
+            let a = lhs[i * depth + k];
+            if a == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                out_row[j] += a * rhs[k * n + j];
+            }
+        }
+    }
+}
+
 #[test]
-fn gemm_row_ktile_matches_scalar_bitwise() {
-    // (depth, n) shapes: unroll tails in both the k and j dimensions,
-    // plus zero-heavy tiles that force the block fallback.
-    for &(depth, n) in &[
-        (1usize, 1usize),
-        (3, 5),
-        (4, 4),
-        (5, 9),
-        (7, 3),
-        (8, 16),
-        (13, 11),
-        (64, 2),
-        (130, 33),
-    ] {
-        let mut rng = Rng::new((depth * 31 + n) as u64);
-        let lhs = rng.vec(depth, true);
-        let rhs = rng.vec(depth * n, true);
-        let base = rng.vec(n, false);
-        let mut want = base.clone();
-        kernel::with_path(KernelPath::Scalar, || {
-            kernel::gemm_row_ktile(&lhs, &rhs, n, &mut want)
-        });
-        for path in alt_paths() {
-            let mut got = base.clone();
-            kernel::with_path(path, || kernel::gemm_row_ktile(&lhs, &rhs, n, &mut got));
-            assert_bits_eq(&want, &got, &format!("gemm_row_ktile {depth}x{n} {path:?}"));
+fn gemm_matches_the_triple_loop_on_every_path() {
+    // Rows 1–24; depths across the 4-term fusion (1–9) and the 128-deep
+    // k-tile (127–130); every width 1–48 appears somewhere in the sweep.
+    let depths = [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129, 130];
+    let mut paths = vec![KernelPath::Scalar];
+    paths.extend(alt_paths());
+    let mut case = 0usize;
+    for rows in 1..=24usize {
+        for &depth in &depths {
+            for n in [1 + case % 48, 1 + (case * 29 + 17) % 48] {
+                let mut rng = Rng::new((case * 131 + n) as u64);
+                // Every third `k` row of the right operand carries ±inf
+                // and NaN, and the even output rows hold exact zeros at
+                // those `k`: their sums stay finite only if every path
+                // skips the zero terms, so 0 · inf never reaches them.
+                let mut lhs = rng.vec(rows * depth, true);
+                for i in (0..rows).step_by(2) {
+                    for k in (0..depth).step_by(3) {
+                        lhs[i * depth + k] = 0.0;
+                    }
+                }
+                let mut rhs = rng.vec(depth * n, false);
+                for k in (0..depth).step_by(3) {
+                    for j in 0..n {
+                        rhs[k * n + j] = match (k + j) % 4 {
+                            0 => f64::INFINITY,
+                            1 => f64::NEG_INFINITY,
+                            2 => f64::NAN,
+                            _ => rhs[k * n + j],
+                        };
+                    }
+                }
+                let base = rng.vec(rows * n, false);
+                let mut want = base.clone();
+                triple_loop(&lhs, depth, &rhs, n, &mut want);
+                for (i, row) in want.chunks(n).enumerate().step_by(2) {
+                    assert!(row.iter().all(|v| v.is_finite()), "row {i} not finite");
+                }
+                for &path in &paths {
+                    let mut got = base.clone();
+                    kernel::with_path(path, || kernel::gemm(&lhs, depth, &rhs, n, &mut got));
+                    // Bit for bit, except that a NaN matches any NaN:
+                    // IEEE 754 leaves open which operand's payload an
+                    // add of two NaNs keeps, and the compiler may swap
+                    // the operands of an add.
+                    for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+                        assert!(
+                            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                            "gemm {rows}x{depth}x{n} {path:?}: element {i} differs ({x} vs {y})"
+                        );
+                    }
+                }
+            }
+            case += 1;
         }
     }
 }

@@ -10,7 +10,8 @@
 use crate::tabular::pooled_lag_samples;
 use crate::{ModelError, Result, WindowForecaster};
 use tfb_data::MultiSeries;
-use tfb_math::matrix::Matrix;
+use tfb_math::kernel::K_TILE;
+use tfb_math::matrix::{gemm_acc, Matrix};
 
 /// Ridge autoregression with direct multi-step output.
 #[derive(Debug, Clone)]
@@ -89,30 +90,10 @@ impl WindowForecaster for LinearRegressionForecaster {
 
     fn train(&mut self, train: &MultiSeries) -> Result<()> {
         let (xs, ys) = pooled_lag_samples(train, self.lookback, self.horizon, self.max_samples)?;
-        let rows = xs.len();
         let p = self.lookback + 1;
-        // Normal equations with intercept column.
-        let mut design = Matrix::zeros(rows, p);
-        for (r, f) in xs.iter().enumerate() {
-            design[(r, 0)] = 1.0;
-            for (j, &v) in f.iter().enumerate() {
-                design[(r, j + 1)] = v;
-            }
-        }
-        let xt = design.transpose();
-        let mut xtx = xt
-            .matmul(&design)
-            .map_err(|e| ModelError::Numerical(e.to_string()))?;
+        let (mut xtx, xty) = normal_equations(&xs, &ys, p, self.horizon);
         for i in 1..p {
-            xtx[(i, i)] += self.lambda.max(1e-10) * rows as f64;
-        }
-        let mut xty = Matrix::zeros(p, self.horizon);
-        for (r, t) in ys.iter().enumerate() {
-            for (h, &v) in t.iter().enumerate() {
-                for j in 0..p {
-                    xty[(j, h)] += design[(r, j)] * v;
-                }
-            }
+            xtx[(i, i)] += self.lambda.max(1e-10) * xs.len() as f64;
         }
         let coefs = xtx
             .solve_matrix(&xty)
@@ -187,10 +168,113 @@ impl WindowForecaster for LinearRegressionForecaster {
     }
 }
 
+/// `(XᵀX, XᵀY)` for the design `X` whose row `r` is `[1, xs[r]…]` (`p`
+/// columns) and the targets `Y` whose row `r` is `ys[r]` (`horizon`
+/// columns).
+///
+/// The samples go through the GEMM kernel one k-tile (128 samples) at a
+/// time: a block of design rows and its transpose are built, and
+/// `Xbᵀ·Xb` and `Xbᵀ·Yb` are added into the two sums. The kernel adds
+/// every element's terms in ascending sample order onto what the sum
+/// already holds, so the blocks give the one-call products bit for bit,
+/// while the full design matrix and its transpose are never built. The
+/// zero-skip leaves out the `0·y` terms of zero design entries, which
+/// change nothing for finite targets.
+fn normal_equations(
+    xs: &[Vec<f64>],
+    ys: &[Vec<f64>],
+    p: usize,
+    horizon: usize,
+) -> (Matrix, Matrix) {
+    let mut xtx = Matrix::zeros(p, p);
+    let mut xty = Matrix::zeros(p, horizon);
+    let mut rows = Vec::with_capacity(K_TILE * p);
+    let mut cols = Vec::with_capacity(p * K_TILE);
+    let mut targets = Vec::with_capacity(K_TILE * horizon);
+    for (xb, yb) in xs.chunks(K_TILE).zip(ys.chunks(K_TILE)) {
+        let n = xb.len();
+        rows.clear();
+        targets.clear();
+        for (x, y) in xb.iter().zip(yb) {
+            rows.push(1.0);
+            rows.extend_from_slice(x);
+            targets.extend_from_slice(y);
+        }
+        cols.clear();
+        cols.resize(p * n, 0.0);
+        for (r, row) in rows.chunks_exact(p).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                cols[j * n + r] = v;
+            }
+        }
+        gemm_acc(&cols, p, n, &rows, p, xtx.data_mut());
+        gemm_acc(&cols, p, n, &targets, horizon, xty.data_mut());
+    }
+    (xtx, xty)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use tfb_data::{Domain, Frequency};
+
+    /// The normal equations as `train` formed them before blocking: the
+    /// full design matrix, its transpose, one `matmul`, and Xᵀy as a
+    /// triple loop. Kept only as the reference for the test below.
+    fn full_normal_equations(
+        xs: &[Vec<f64>],
+        ys: &[Vec<f64>],
+        p: usize,
+        horizon: usize,
+    ) -> (Matrix, Matrix) {
+        let mut design = Matrix::zeros(xs.len(), p);
+        for (r, f) in xs.iter().enumerate() {
+            design[(r, 0)] = 1.0;
+            for (j, &v) in f.iter().enumerate() {
+                design[(r, j + 1)] = v;
+            }
+        }
+        let xtx = design.transpose().matmul(&design).unwrap();
+        let mut xty = Matrix::zeros(p, horizon);
+        for (r, t) in ys.iter().enumerate() {
+            for (h, &v) in t.iter().enumerate() {
+                for j in 0..p {
+                    xty[(j, h)] += design[(r, j)] * v;
+                }
+            }
+        }
+        (xtx, xty)
+    }
+
+    #[test]
+    fn block_normal_equations_equal_the_full_matrix_forms() {
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let lookback = 12;
+        let p = lookback + 1;
+        // Horizon 1 is the single-column product that `par_gemm` would
+        // assign rather than accumulate; the blocks must still add up.
+        for samples in [1usize, 127, 128, 129, 3_000] {
+            for horizon in [1usize, 36] {
+                let value = |r: usize, j: usize| ((r * 31 + j * 7) % 23) as f64 / 7.0 - 1.5;
+                // Lag 4 is zero in every sample: an all-zero design column.
+                let xs: Vec<Vec<f64>> = (0..samples)
+                    .map(|r| {
+                        (0..lookback)
+                            .map(|j| if j == 4 { 0.0 } else { value(r, j) })
+                            .collect()
+                    })
+                    .collect();
+                let ys: Vec<Vec<f64>> = (0..samples)
+                    .map(|r| (0..horizon).map(|h| value(r + 5, h + 3)).collect())
+                    .collect();
+                let (xtx, xty) = normal_equations(&xs, &ys, p, horizon);
+                let (want_xtx, want_xty) = full_normal_equations(&xs, &ys, p, horizon);
+                let what = format!("{samples} samples, horizon {horizon}");
+                assert_eq!(bits(&xtx), bits(&want_xtx), "XᵀX, {what}");
+                assert_eq!(bits(&xty), bits(&want_xty), "Xᵀy, {what}");
+            }
+        }
+    }
 
     fn series(chans: &[Vec<f64>]) -> MultiSeries {
         MultiSeries::from_channels("s", Frequency::Daily, Domain::Other, chans).unwrap()

@@ -3,10 +3,32 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Handle to a parameter tensor in a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParamId(usize);
+
+impl ParamId {
+    /// Registration index of the parameter in its store.
+    pub(crate) fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// Names the parameter values a store holds at one moment: the store's
+/// identity, unique within the process, and a version that every change
+/// of a value bumps. Two reads of a parameter under the same stamp see
+/// the same bits, so a [`crate::tape::Tape`] may keep a copy or a
+/// transpose of a parameter for as long as the stamp holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stamp {
+    store: u64,
+    version: u64,
+}
+
+/// Source of store identities.
+static NEXT_STORE: AtomicU64 = AtomicU64::new(0);
 
 struct Param {
     value: Vec<f64>,
@@ -21,6 +43,7 @@ struct Param {
 pub struct ParamStore {
     params: Vec<Param>,
     rng: StdRng,
+    stamp: Stamp,
 }
 
 impl ParamStore {
@@ -29,7 +52,22 @@ impl ParamStore {
         ParamStore {
             params: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
+            stamp: Stamp {
+                store: NEXT_STORE.fetch_add(1, Ordering::Relaxed),
+                version: 0,
+            },
         }
+    }
+
+    /// The stamp of the values the store holds now.
+    pub fn stamp(&self) -> Stamp {
+        self.stamp
+    }
+
+    /// Marks every value as changed: called by each method that writes
+    /// a parameter value.
+    fn bump(&mut self) {
+        self.stamp.version += 1;
     }
 
     /// Adds a tensor with Glorot-uniform initialization.
@@ -49,6 +87,7 @@ impl ParamStore {
     /// Adds a tensor with explicit initial values.
     pub fn add_raw(&mut self, value: Vec<f64>, rows: usize, cols: usize) -> ParamId {
         assert_eq!(value.len(), rows * cols);
+        self.bump();
         self.params.push(Param {
             grad: vec![0.0; value.len()],
             m: vec![0.0; value.len()],
@@ -87,6 +126,7 @@ impl ParamStore {
 
     /// Adds `eps` to one element (used by gradient checks).
     pub fn perturb(&mut self, id: ParamId, index: usize, eps: f64) {
+        self.bump();
         self.params[id.0].value[index] += eps;
     }
 
@@ -111,9 +151,20 @@ impl ParamStore {
         self.params.iter().map(|p| p.value.clone()).collect()
     }
 
+    /// [`ParamStore::snapshot`] into the buffers of an earlier one, so
+    /// early stopping's snapshot per improving epoch allocates nothing.
+    pub fn snapshot_into(&self, snap: &mut Vec<Vec<f64>>) {
+        snap.resize_with(self.params.len(), Vec::new);
+        for (s, p) in snap.iter_mut().zip(&self.params) {
+            s.clear();
+            s.extend_from_slice(&p.value);
+        }
+    }
+
     /// Restores a snapshot taken with [`ParamStore::snapshot`].
     pub fn restore(&mut self, snap: &[Vec<f64>]) {
         assert_eq!(snap.len(), self.params.len());
+        self.bump();
         for (p, s) in self.params.iter_mut().zip(snap) {
             p.value.copy_from_slice(s);
         }
@@ -151,6 +202,7 @@ impl ParamStore {
                 ));
             }
         }
+        self.bump();
         for (p, (value, _, _)) in self.params.iter_mut().zip(tensors) {
             p.value.copy_from_slice(value);
         }
@@ -191,6 +243,7 @@ impl Adam {
     /// them.
     pub fn step(&mut self, store: &mut ParamStore) {
         self.t += 1;
+        store.bump();
         // Global-norm clipping.
         if self.clip > 0.0 {
             let norm = store.grad_norm();

@@ -17,8 +17,14 @@
 //! zero-skip drops only `±0` terms, which cannot change such a sum when
 //! the operands are finite, so the gradients equal the plain triple-loop
 //! formulas bit for bit.
+//!
+//! Parameter values change only when the store's [`Stamp`] does (once
+//! per optimizer step in training), so a tape keeps what it derives from
+//! them for as long as the stamp holds: a node slot that already holds a
+//! parameter at the current stamp is not copied again, and the matmul
+//! backward reuses a parameter's transpose built at that stamp.
 
-use crate::optim::{ParamId, ParamStore};
+use crate::optim::{ParamId, ParamStore, Stamp};
 use tfb_math::matrix::par_gemm;
 
 /// Handle to a node on the tape.
@@ -84,7 +90,8 @@ struct Node {
     rows: usize,
     cols: usize,
     op: Op,
-    param: Option<ParamId>,
+    /// The parameter a leaf loads, with the stamp of the loaded values.
+    param: Option<(ParamId, Stamp)>,
     /// Whether some parameter feeds this node; only such nodes get
     /// gradients.
     needs_grad: bool,
@@ -97,6 +104,9 @@ pub struct Tape {
     /// Value buffer of node slot `i`. Slots past `nodes.len()` keep the
     /// buffers of an earlier pass for reuse.
     values: Vec<Vec<f64>>,
+    /// The parameter (and stamp) whose values slot `i`'s buffer holds,
+    /// if the last node in that slot loaded one.
+    held: Vec<Option<(ParamId, Stamp)>>,
     /// Gradient buffer of node slot `i`, sized by [`Tape::backward`].
     grads: Vec<Vec<f64>>,
     /// How many leading nodes the last [`Tape::backward`] gave gradients.
@@ -104,6 +114,9 @@ pub struct Tape {
     /// Scratch of the matmul backward: a transposed operand and a product.
     transposed: Vec<f64>,
     product: Vec<f64>,
+    /// Parameter transposes of the matmul backward, by parameter index,
+    /// with the stamp each was built at.
+    param_t: Vec<(Option<Stamp>, Vec<f64>)>,
 }
 
 impl Tape {
@@ -140,8 +153,14 @@ impl Tape {
             .flatten()
             .any(|p| self.nodes[p].needs_grad);
         match self.values.get_mut(i) {
-            Some(slot) => *slot = value,
-            None => self.values.push(value),
+            Some(slot) => {
+                *slot = value;
+                self.held[i] = None;
+            }
+            None => {
+                self.values.push(value);
+                self.held.push(None);
+            }
         }
         // Gradient buffers are sized by `backward`; forward-only passes
         // (inference, validation) never touch them.
@@ -185,13 +204,23 @@ impl Tape {
     }
 
     /// Loads a parameter onto the tape (gradients flow back to the store).
+    /// A slot that already holds this parameter at the store's current
+    /// stamp keeps its copy.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> TensorRef {
         let (value, rows, cols) = store.get(id);
-        let mut v = self.buffer();
-        v.extend_from_slice(value);
+        let key = Some((id, store.stamp()));
+        let i = self.nodes.len();
+        let v = if self.held.get(i) == Some(&key) {
+            std::mem::take(&mut self.values[i])
+        } else {
+            let mut v = self.buffer();
+            v.extend_from_slice(value);
+            v
+        };
         let r = self.push(v, rows, cols, Op::Leaf);
+        self.held[i] = key;
         let node = &mut self.nodes[r.0];
-        node.param = Some(id);
+        node.param = key;
         node.needs_grad = true;
         r
     }
@@ -502,12 +531,22 @@ impl Tape {
                     let (ar, ac, bc) = (nodes[a].rows, nodes[a].cols, nodes[b].cols);
                     if wants(a) {
                         // dA = dOut · Bᵀ
-                        let bt = transposed(&values[b], ac, bc, &mut self.transposed);
+                        let bt = transposed(
+                            (&values[b], ac, bc),
+                            nodes[b].param,
+                            &mut self.param_t,
+                            &mut self.transposed,
+                        );
                         gemm_acc(grad, ar, bc, bt, ac, &mut self.product, &mut grads[a]);
                     }
                     if wants(b) {
                         // dB = Aᵀ · dOut
-                        let at = transposed(&values[a], ar, ac, &mut self.transposed);
+                        let at = transposed(
+                            (&values[a], ar, ac),
+                            nodes[a].param,
+                            &mut self.param_t,
+                            &mut self.transposed,
+                        );
                         gemm_acc(at, ac, ar, grad, bc, &mut self.product, &mut grads[b]);
                     }
                 }
@@ -556,8 +595,10 @@ impl Tape {
                     }
                     if wants(bias) {
                         let gb = &mut grads[bias];
-                        for (i, &d) in grad.iter().enumerate() {
-                            gb[i % c] += d;
+                        for drow in grad.chunks_exact(c) {
+                            for (g, &d) in gb.iter_mut().zip(drow) {
+                                *g += d;
+                            }
                         }
                     }
                 }
@@ -565,14 +606,18 @@ impl Tape {
                     let c = node.cols;
                     if wants(a) {
                         let (ga, gv) = (&mut grads[a], &values[gain]);
-                        for (i, &d) in grad.iter().enumerate() {
-                            ga[i] += d * gv[i % c];
+                        for (garow, drow) in ga.chunks_exact_mut(c).zip(grad.chunks_exact(c)) {
+                            for ((g, &d), &w) in garow.iter_mut().zip(drow).zip(gv) {
+                                *g += d * w;
+                            }
                         }
                     }
                     if wants(gain) {
                         let (gg, av) = (&mut grads[gain], &values[a]);
-                        for (i, &d) in grad.iter().enumerate() {
-                            gg[i % c] += d * av[i];
+                        for (drow, arow) in grad.chunks_exact(c).zip(av.chunks_exact(c)) {
+                            for ((g, &d), &x) in gg.iter_mut().zip(drow).zip(arow) {
+                                *g += d * x;
+                            }
                         }
                     }
                 }
@@ -720,7 +765,7 @@ impl Tape {
     /// gradients of an earlier one.
     pub fn param_grads(&self, store: &mut ParamStore) {
         for (node, grad) in self.nodes[..self.grads_valid].iter().zip(&self.grads) {
-            if let Some(id) = node.param {
+            if let Some((id, _)) = node.param {
                 store.accumulate_grad(id, grad);
             }
         }
@@ -740,14 +785,31 @@ fn transpose_into(m: &[f64], rows: usize, cols: usize, out: &mut Vec<f64>) {
 }
 
 /// The transpose of the row-major `rows x cols` matrix `m`: `m` itself for
-/// a single row or column (same memory layout), otherwise built in
-/// `scratch`.
-fn transposed<'a>(m: &'a [f64], rows: usize, cols: usize, scratch: &'a mut Vec<f64>) -> &'a [f64] {
+/// a single row or column (same memory layout). A parameter's transpose
+/// comes from `cache`, rebuilt only when the stamp it was built at is not
+/// the one `m` was loaded at; any other operand's is built in `scratch`.
+fn transposed<'a>(
+    (m, rows, cols): (&'a [f64], usize, usize),
+    param: Option<(ParamId, Stamp)>,
+    cache: &'a mut Vec<(Option<Stamp>, Vec<f64>)>,
+    scratch: &'a mut Vec<f64>,
+) -> &'a [f64] {
     if rows == 1 || cols == 1 {
         return m;
     }
-    transpose_into(m, rows, cols, scratch);
-    scratch
+    let Some((id, stamp)) = param else {
+        transpose_into(m, rows, cols, scratch);
+        return scratch;
+    };
+    if cache.len() <= id.index() {
+        cache.resize_with(id.index() + 1, Default::default);
+    }
+    let (built, t) = &mut cache[id.index()];
+    if *built != Some(stamp) {
+        transpose_into(m, rows, cols, t);
+        *built = Some(stamp);
+    }
+    t
 }
 
 /// `acc += lhs · rhs` for `lhs` `rows x depth` and `rhs` `depth x cols`.
@@ -1070,6 +1132,67 @@ mod tests {
             let got = pass(&mut reused, &mut store, &ids, graph);
             let want = pass(&mut Tape::new(), &mut store, &ids, graph);
             assert_eq!(got, want);
+        }
+    }
+
+    /// Parameters on both sides of a matmul whose backward needs their
+    /// transposes (`h · w2` and `m · h`), plus both row broadcasts.
+    fn transposing_graph(tape: &mut Tape, store: &ParamStore, ids: &[ParamId]) -> TensorRef {
+        let x = tape.input(
+            &[
+                0.3, -0.7, 1.1, 0.2, -1.3, 0.8, 0.05, 0.6, 0.9, -0.4, 0.0, 1.2,
+            ],
+            3,
+            4,
+        );
+        let w1 = tape.param(store, ids[0]);
+        let h = tape.matmul(x, w1);
+        let h = tape.tanh(h);
+        let w2 = tape.param(store, ids[1]);
+        let h = tape.matmul(h, w2);
+        let m = tape.param(store, ids[3]);
+        let h = tape.matmul(m, h);
+        let g = tape.param(store, ids[2]);
+        let h = tape.mul_row_broadcast(h, g);
+        let h = tape.add_row_broadcast(h, g);
+        let sq = tape.mul_elem(h, h);
+        tape.mean_all(sq)
+    }
+
+    #[test]
+    fn reused_tape_sees_every_store_change() {
+        let mut store = ParamStore::new(8);
+        let ids = [
+            store.add(4, 3),
+            store.add(3, 5),
+            store.add(1, 5),
+            store.add(3, 3),
+        ];
+        let snapshot = store.snapshot();
+        let halved: Vec<(Vec<f64>, usize, usize)> = store
+            .tensors()
+            .into_iter()
+            .map(|(v, r, c)| (v.iter().map(|x| 0.5 * x).collect(), r, c))
+            .collect();
+        let mut adam = crate::optim::Adam::new(0.05);
+        let mut reused = Tape::new();
+        // Each change is followed by two passes on the reused tape: the
+        // first must see the new values, the second reuses what the first
+        // loaded; both must equal a fresh tape's pass bit for bit.
+        for change in 0..6 {
+            for _ in 0..2 {
+                reused.reset();
+                let got = pass(&mut reused, &mut store, &ids, transposing_graph);
+                let want = pass(&mut Tape::new(), &mut store, &ids, transposing_graph);
+                assert_eq!(got, want, "after change {change}");
+            }
+            match change {
+                0 | 4 => adam.step(&mut store),
+                1 => store.restore(&snapshot),
+                2 => store.load_tensors(&halved).unwrap(),
+                3 => store.perturb(ids[3], 4, 0.25),
+                _ => {}
+            }
         }
     }
 

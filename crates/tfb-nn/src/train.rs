@@ -189,7 +189,7 @@ impl Trainer {
             }
             if val_loss < best_val - 1e-9 {
                 best_val = val_loss;
-                best_snapshot = store.snapshot();
+                store.snapshot_into(&mut best_snapshot);
                 stale = 0;
             } else {
                 stale += 1;

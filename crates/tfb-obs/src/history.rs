@@ -105,7 +105,7 @@ pub fn parse_manifest(text: &str) -> Result<ParsedManifest, String> {
         }
     }
     let mut m = Manifest {
-        cores: root.get("cores").and_then(|v| v.as_usize()).unwrap_or(1),
+        cores: root.get("cores").and_then(|v| v.as_usize()).unwrap_or(0),
         wall_ns: get_u64(&root, "wall_ns").unwrap_or(0),
         peak_rss_bytes: match root.get("peak_rss_bytes") {
             Some(JsonValue::Null) | None => None,
@@ -882,6 +882,29 @@ fn median(xs: &mut Vec<f64>) -> Option<f64> {
         xs[n / 2]
     } else {
         (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    })
+}
+
+/// Why some baseline comes from another machine than `candidate`, if
+/// both record it: both carry `cores` and the counts differ, or both
+/// carry the `kernel` meta and the paths differ (baseline value first).
+/// Timings from different machines say nothing about a change, so the
+/// gate refuses them instead of comparing.
+pub fn machine_mismatch(baselines: &[Manifest], candidate: &Manifest) -> Option<String> {
+    let kernel = |m: &Manifest| {
+        m.meta
+            .iter()
+            .find(|(k, _)| k == "kernel")
+            .map(|(_, v)| v.clone())
+    };
+    baselines.iter().find_map(|b| {
+        if b.cores != 0 && candidate.cores != 0 && b.cores != candidate.cores {
+            return Some(format!("cores {} vs {}", b.cores, candidate.cores));
+        }
+        match (kernel(b), kernel(candidate)) {
+            (Some(x), Some(y)) if x != y => Some(format!("kernel {x} vs {y}")),
+            _ => None,
+        }
     })
 }
 

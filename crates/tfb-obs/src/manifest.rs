@@ -310,7 +310,8 @@ pub struct QualitySummary {
 pub struct Manifest {
     /// Caller-supplied provenance (config hash, git rev, seed, …).
     pub meta: Vec<(String, String)>,
-    /// Available hardware parallelism when the run finished.
+    /// Available hardware parallelism when the run finished (0 for a
+    /// parsed manifest that does not record it).
     pub cores: usize,
     /// Wall time from `start_run` to `finish_run`.
     pub wall_ns: u64,

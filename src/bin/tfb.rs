@@ -110,6 +110,30 @@ fn main() -> ExitCode {
     }
 }
 
+/// `parse_flag(args, flag, valid)`, or the error printed under the
+/// command's name and `ExitCode::FAILURE` returned from the command.
+macro_rules! flag {
+    ($cmd:literal, $args:expr, $flag:literal, $valid:expr) => {
+        match parse_flag($args, $flag, $valid) {
+            Ok(v) => v,
+            Err(e) => {
+                eprintln!("{}: {e}", $cmd);
+                return ExitCode::FAILURE;
+            }
+        }
+    };
+}
+
+/// Valid counts and sizes.
+fn positive(n: &usize) -> bool {
+    *n > 0
+}
+
+/// Valid percentage tolerances.
+fn tolerance(pct: &f64) -> bool {
+    pct.is_finite() && *pct >= 0.0
+}
+
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
@@ -199,13 +223,11 @@ fn cmd_run(args: &[String]) -> ExitCode {
         eprintln!("tfb run: missing config path");
         return ExitCode::FAILURE;
     };
-    let threads: usize = flag_value(args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
+    let threads = flag!("tfb run", args, "--threads", positive).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
     let out_dir = PathBuf::from(
         flag_value(args, "--out").unwrap_or_else(|| "target/tfb-results".to_string()),
     );
@@ -588,6 +610,7 @@ fn cmd_obs_diff(args: &[String]) -> ExitCode {
         eprintln!("usage: tfb obs diff <A> <B> [--tol-pct P] [--history DIR|none]");
         return ExitCode::FAILURE;
     };
+    let tol = flag!("tfb obs diff", args, "--tol-pct", tolerance);
     let mut hist = None;
     let base = match load_manifest_arg(args, &mut hist, base_sel) {
         Ok((m, _)) => m,
@@ -605,7 +628,7 @@ fn cmd_obs_diff(args: &[String]) -> ExitCode {
     };
     let rows = history::diff_manifests(&base, &new);
     print!("{}", history::render_diff(&rows));
-    if let Some(tol) = flag_value(args, "--tol-pct").and_then(|v| v.parse::<f64>().ok()) {
+    if let Some(tol) = tol {
         let over: Vec<&history::DiffRow> = rows
             .iter()
             .filter(|r| r.delta_pct().is_some_and(|d| d > tol))
@@ -629,6 +652,7 @@ fn cmd_obs_diff(args: &[String]) -> ExitCode {
 /// `tfb obs trend`: wall time and per-cell metric series over the run
 /// history, rendered as sparklines (oldest run on the left).
 fn cmd_obs_trend(args: &[String]) -> ExitCode {
+    let limit = flag!("tfb obs trend", args, "--limit", positive).unwrap_or(32);
     let Some(root) = history_root(args) else {
         eprintln!("tfb obs trend: the run history is disabled (--history none)");
         return ExitCode::FAILURE;
@@ -647,10 +671,6 @@ fn cmd_obs_trend(args: &[String]) -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    let limit: usize = flag_value(args, "--limit")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32)
-        .max(1);
     let filter = flag_value(args, "--metric");
     let entries = hist.entries();
     let start = entries.len().saturating_sub(limit);
@@ -727,6 +747,7 @@ fn cmd_obs_trend(args: &[String]) -> ExitCode {
 /// every recorded drift trip, and any quality-triggered postmortem
 /// bundles under the same history root.
 fn cmd_obs_quality(args: &[String]) -> ExitCode {
+    let limit = flag!("tfb obs quality", args, "--limit", positive).unwrap_or(32);
     let Some(root) = history_root(args) else {
         eprintln!("tfb obs quality: the run history is disabled (--history none)");
         return ExitCode::FAILURE;
@@ -738,10 +759,6 @@ fn cmd_obs_quality(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let limit: usize = flag_value(args, "--limit")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32)
-        .max(1);
     let entries = hist.entries();
     let start = entries.len().saturating_sub(limit);
     let mut runs: Vec<(String, tfb_obs::manifest::QualitySummary)> = Vec::new();
@@ -867,16 +884,10 @@ fn cmd_obs_quality(args: &[String]) -> ExitCode {
 /// file paths. `--tol-pct` covers wall time, phases, RSS and allocation
 /// counters; accuracy metrics use the tighter `--tol-metric`.
 fn cmd_obs_gate(args: &[String]) -> ExitCode {
-    let tol_pct: f64 = flag_value(args, "--tol-pct")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0);
-    let tol_metric: f64 = flag_value(args, "--tol-metric")
-        .and_then(|v| v.parse().ok())
+    let tol_pct = flag!("tfb obs gate", args, "--tol-pct", tolerance).unwrap_or(10.0);
+    let tol_metric = flag!("tfb obs gate", args, "--tol-metric", tolerance)
         .unwrap_or(GateTolerances::default().metric_pct);
-    let min_runs: usize = flag_value(args, "--min-runs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1);
+    let min_runs = flag!("tfb obs gate", args, "--min-runs", positive).unwrap_or(3);
     let baseline_sel = flag_value(args, "--baseline").unwrap_or_else(|| "first".to_string());
     let candidate_sel = flag_value(args, "--candidate").unwrap_or_else(|| "last".to_string());
     let mut hist = None;
@@ -929,6 +940,10 @@ fn cmd_obs_gate(args: &[String]) -> ExitCode {
                 Err(e) => eprintln!("warning: skipping baseline run {}: {e}", entry.id),
             }
         }
+    }
+    if let Some(why) = history::machine_mismatch(&baselines, &candidate) {
+        eprintln!("tfb obs gate: baseline and candidate ran on different machines ({why})");
+        return ExitCode::from(2);
     }
     if baselines.is_empty() {
         eprintln!("tfb obs gate: no baseline runs to compare against (only health checks ran)");
@@ -1303,18 +1318,11 @@ fn cmd_train(args: &[String]) -> ExitCode {
     };
     let method = flag_value(args, "--method").unwrap_or_else(|| "LR".to_string());
     let dataset = flag_value(args, "--dataset").unwrap_or_else(|| "ILI".to_string());
-    let lookback: usize = flag_value(args, "--lookback")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(36);
-    let horizon: usize = flag_value(args, "--horizon")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24);
-    let max_len: usize = flag_value(args, "--max-len")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2000);
-    let max_dim: usize = flag_value(args, "--max-dim")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6);
+    let lookback = flag!("tfb train", args, "--lookback", positive).unwrap_or(36);
+    let horizon = flag!("tfb train", args, "--horizon", positive).unwrap_or(24);
+    let max_len = flag!("tfb train", args, "--max-len", positive).unwrap_or(2000);
+    let max_dim = flag!("tfb train", args, "--max-dim", positive).unwrap_or(6);
+    let epochs = flag!("tfb train", args, "--epochs", positive);
     let norm_name = flag_value(args, "--norm").unwrap_or_else(|| "ZScore".to_string());
     let Some(norm_kind) = tfb::data::Normalization::parse_name(&norm_name) else {
         eprintln!("tfb train: unknown normalization {norm_name:?} (ZScore, MinMax or None)");
@@ -1341,12 +1349,10 @@ fn cmd_train(args: &[String]) -> ExitCode {
         }
     };
     let train = normed.slice_rows(0..split.val_start);
-    let deep_config = flag_value(args, "--epochs")
-        .and_then(|v| v.parse().ok())
-        .map(|epochs| tfb::nn::TrainConfig {
-            epochs,
-            ..tfb::nn::TrainConfig::default()
-        });
+    let deep_config = epochs.map(|epochs| tfb::nn::TrainConfig {
+        epochs,
+        ..tfb::nn::TrainConfig::default()
+    });
     let descriptor = format!(
         "{dataset}|{method}|L={lookback}|H={horizon}|{norm_name}|len={max_len}|dim={max_dim}"
     );
@@ -1576,6 +1582,9 @@ fn cmd_registry_promote(args: &[String]) -> ExitCode {
         flag_value(args, "--from").unwrap_or_else(|| tfb::registry::CANARY_LABEL.to_string());
     let to = flag_value(args, "--to").unwrap_or_else(|| tfb::registry::DEFAULT_LABEL.to_string());
     let force = args.iter().any(|a| a == "--force");
+    let tol_pct = flag!("tfb registry promote", args, "--tol-pct", tolerance).unwrap_or(10.0);
+    let quality_tol_pct =
+        flag!("tfb registry promote", args, "--quality-tol-pct", tolerance).unwrap_or(10.0);
     let baseline_sel = flag_value(args, "--baseline");
     let candidate_sel = flag_value(args, "--candidate");
     if baseline_sel.is_some() != candidate_sel.is_some() {
@@ -1583,9 +1592,6 @@ fn cmd_registry_promote(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     if let (Some(base_sel), Some(cand_sel)) = (&baseline_sel, &candidate_sel) {
-        let tol_pct: f64 = flag_value(args, "--tol-pct")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10.0);
         let mut hist: Option<RunHistory> = None;
         let (baseline, _) = match load_manifest_arg(args, &mut hist, base_sel) {
             Ok(m) => m,
@@ -1644,9 +1650,6 @@ fn cmd_registry_promote(args: &[String]) -> ExitCode {
     // label must have scored joins, no drift trips, and a rolling sMAPE
     // within `--quality-tol-pct` of the production baseline's.
     if let Some(quality_sel) = flag_value(args, "--quality") {
-        let tol_pct: f64 = flag_value(args, "--quality-tol-pct")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10.0);
         let mut hist: Option<RunHistory> = None;
         let (manifest, _) = match load_manifest_arg(args, &mut hist, &quality_sel) {
             Ok(m) => m,
@@ -1689,10 +1692,10 @@ fn cmd_registry_promote(args: &[String]) -> ExitCode {
                     ));
                 }
                 if let Some(b) = baseline {
-                    let allowed = b.smape * (1.0 + tol_pct / 100.0) + 1e-9;
+                    let allowed = b.smape * (1.0 + quality_tol_pct / 100.0) + 1e-9;
                     if b.smape.is_finite() && c.smape > allowed {
                         failures.push(format!(
-                            "candidate sMAPE {:.4}% exceeds baseline {:.4}% +{tol_pct}%",
+                            "candidate sMAPE {:.4}% exceeds baseline {:.4}% +{quality_tol_pct}%",
                             c.smape, b.smape
                         ));
                     }
@@ -1716,7 +1719,7 @@ fn cmd_registry_promote(args: &[String]) -> ExitCode {
             .unwrap_or((0, f64::NAN));
         println!(
             "quality gate: {name}@{from} {cand_joins} join(s), rolling sMAPE {cand_smape:.4}%, \
-             tolerance +{tol_pct}%"
+             tolerance +{quality_tol_pct}%"
         );
         for f in &failures {
             println!("  FAIL {f}");
@@ -2033,7 +2036,6 @@ struct ServeFlags {
 
 impl ServeFlags {
     fn parse(args: &[String]) -> Result<ServeFlags, String> {
-        let positive = |n: &usize| *n > 0;
         let real = |flag| parse_flag::<f64>(args, flag, |x| x.is_finite());
         let defaults = tfb::serve::CoalescerConfig::default();
         let coalescer = tfb::serve::CoalescerConfig {
@@ -2341,9 +2343,7 @@ fn cmd_characterize(args: &[String]) -> ExitCode {
         eprintln!("tfb characterize: missing dataset name");
         return ExitCode::FAILURE;
     };
-    let max_len: usize = flag_value(args, "--max-len")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1500);
+    let max_len = flag!("tfb characterize", args, "--max-len", positive).unwrap_or(1500);
     let scale = tfb::datagen::Scale {
         max_len,
         max_dim: 6,

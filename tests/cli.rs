@@ -158,6 +158,90 @@ fn serve_rejects_unknown_and_retired_flags_before_loading() {
 }
 
 #[test]
+fn bad_flag_values_fail_before_any_work_naming_the_flag() {
+    let dir = std::env::temp_dir().join(format!("tfb_cli_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("m.tfba");
+    let model = model.to_str().unwrap();
+    let cases: [(&[&str], &str); 6] = [
+        (
+            &[
+                "train",
+                "--dataset",
+                "ILI",
+                "--lookback",
+                "abc",
+                "--out",
+                model,
+            ],
+            "--lookback",
+        ),
+        (&["train", "--horizon", "0", "--out", model], "--horizon"),
+        (
+            &["run", "no-such-config.json", "--threads", "x"],
+            "--threads",
+        ),
+        (
+            &["obs", "gate", "--tol-pct", "abc", "--history", "none"],
+            "--tol-pct",
+        ),
+        (
+            &["obs", "gate", "--min-runs", "0", "--history", "none"],
+            "--min-runs",
+        ),
+        (
+            &["registry", "promote", "m", "--tol-pct", "-1"],
+            "--tol-pct",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = tfb(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(
+            err.contains(flag),
+            "{args:?}: error must name {flag}: {err}"
+        );
+    }
+    assert!(
+        !std::path::Path::new(model).exists(),
+        "train ran despite a bad flag"
+    );
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn obs_gate_refuses_manifests_from_different_machines() {
+    let dir = std::env::temp_dir().join(format!("tfb_cli_machines_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = |cores: usize| {
+        let path = dir.join(format!("cores{cores}.json"));
+        let json = format!(r#"{{"schema": "tfb-obs/v1", "cores": {cores}, "wall_ns": 1000}}"#);
+        std::fs::write(&path, json).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let (one, two) = (manifest(1), manifest(2));
+    let gate = |base: &str, cand: &str| {
+        tfb(&[
+            "obs",
+            "gate",
+            "--baseline",
+            base,
+            "--candidate",
+            cand,
+            "--history",
+            "none",
+        ])
+    };
+    let out = gate(&one, &two);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("cores 1 vs 2"), "{err}");
+    assert!(gate(&two, &two).status.success());
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
 fn serve_malformed_artifact_is_a_structured_error_not_a_panic() {
     let dir = std::env::temp_dir().join(format!("tfb_cli_bad_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
