@@ -12,8 +12,6 @@ use crate::method::Method;
 use crate::metrics::{compute, Metric, MetricContext};
 use crate::{CoreError, Result};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tfb_data::{ChronoSplit, MultiSeries, Normalization, Normalizer, SplitRatio};
 use tfb_math::matrix::Matrix;
@@ -379,33 +377,12 @@ fn evaluate_rolling(
                 let spent = t0.elapsed();
                 Some((metric_values(&forecast, actual_at(t)), spent))
             };
-            type BoundarySlot = Mutex<Option<Option<(Vec<f64>, Duration)>>>;
+            // One worker runs inline: the fixed protocol evaluates a single
+            // boundary per method, where a thread would cost more than it.
             let timed: Vec<Option<(Vec<f64>, Duration)>> = if workers < 2 {
                 boundaries.iter().map(|&t| eval_boundary(t)).collect()
             } else {
-                let slots: Vec<BoundarySlot> =
-                    boundaries.iter().map(|_| Mutex::new(None)).collect();
-                let next = AtomicUsize::new(0);
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= boundaries.len() {
-                                break;
-                            }
-                            let out = eval_boundary(boundaries[i]);
-                            *slots[i].lock().expect("boundary slot poisoned") = Some(out);
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|s| {
-                        s.into_inner()
-                            .expect("boundary slot poisoned")
-                            .expect("worker filled every slot")
-                    })
-                    .collect()
+                crate::runner::par_map(&boundaries, workers, |&t| eval_boundary(t))
             };
             timed
                 .into_iter()

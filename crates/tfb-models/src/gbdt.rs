@@ -3,7 +3,7 @@
 //! predicts one step ahead; multi-step forecasts iterate (IMS), matching
 //! how tree boosters are typically deployed for forecasting.
 
-use crate::forest::{RegressionTree, TreeParams};
+use crate::forest::{RegressionTree, Samples, TreeParams};
 use crate::tabular::{iterate_one_step, pooled_lag_samples};
 use crate::{ModelError, Result, WindowForecaster};
 use rand::rngs::StdRng;
@@ -82,25 +82,29 @@ impl WindowForecaster for GradientBoosting {
         if n < self.params.min_split {
             return Err(ModelError::InsufficientData("too few samples to boost"));
         }
-        let targets: Vec<f64> = ys.iter().map(|t| t[0]).collect();
-        self.base = targets.iter().sum::<f64>() / n as f64;
-        let mut residuals: Vec<f64> = targets.iter().map(|t| t - self.base).collect();
+        let mut samples = Samples::new(&xs, &ys);
+        // The targets become the residuals, updated in place every round.
+        let residuals = samples.targets_mut();
+        self.base = residuals.iter().sum::<f64>() / n as f64;
+        residuals.iter_mut().for_each(|r| *r -= self.base);
         let mut rng = StdRng::seed_from_u64(self.seed);
         self.trees.clear();
         let sample_size = ((n as f64 * self.subsample) as usize).clamp(2, n);
+        let mut pool = Vec::with_capacity(n);
         for _ in 0..self.n_rounds {
             // Stochastic row subsample without replacement.
-            let mut pool: Vec<usize> = (0..n).collect();
+            pool.clear();
+            pool.extend(0..n);
             for i in 0..sample_size {
                 let j = rng.gen_range(i..n);
                 pool.swap(i, j);
             }
-            let indices = &pool[..sample_size];
-            let res_targets: Vec<Vec<f64>> = residuals.iter().map(|&r| vec![r]).collect();
-            let tree = RegressionTree::fit(&xs, &res_targets, indices, self.params, &mut rng);
+            let tree =
+                RegressionTree::fit(&samples, &mut pool[..sample_size], self.params, &mut rng);
             // Update residuals on all rows.
-            for (i, f) in xs.iter().enumerate() {
-                residuals[i] -= self.learning_rate * tree.predict(f)[0];
+            for i in 0..n {
+                let step = self.learning_rate * tree.predict_sample(&samples, i)[0];
+                samples.targets_mut()[i] -= step;
             }
             self.trees.push(tree);
         }

@@ -92,6 +92,10 @@ const USAGE: &str = "usage: tfb <command>
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_flags(&args) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
@@ -134,6 +138,132 @@ fn tolerance(pct: &f64) -> bool {
     pct.is_finite() && *pct >= 0.0
 }
 
+/// Every subcommand's flags, keyed by its command words. `flag_value`
+/// ignores flags nobody asks for, so [`check_flags`] refuses any flag
+/// outside its command's list before the command runs: a typo must not
+/// run silently with the defaults.
+const FLAGS: [(&str, &[&str]); 26] = [
+    ("run", &["--threads", "--out", "--history"]),
+    ("bench ls", &["--suites"]),
+    ("bench run", &["--suite", "--suites", "--out", "--history"]),
+    ("bench cmp", &["--history"]),
+    ("bench rank", &["--by", "--metric", "--history"]),
+    ("obs diff", &["--tol-pct", "--history"]),
+    ("obs trend", &["--metric", "--limit", "--history"]),
+    ("obs quality", &["--limit", "--history"]),
+    (
+        "obs gate",
+        &[
+            "--baseline",
+            "--candidate",
+            "--tol-pct",
+            "--tol-metric",
+            "--min-runs",
+            "--history",
+        ],
+    ),
+    ("obs record", &["--history"]),
+    ("obs export-trace", &["--out"]),
+    ("obs export-profile", &["--out", "--history"]),
+    ("obs postmortem", &["--out", "--history"]),
+    ("obs validate-metrics", &[]),
+    (
+        "train",
+        &[
+            "--method",
+            "--dataset",
+            "--out",
+            "--lookback",
+            "--horizon",
+            "--norm",
+            "--max-len",
+            "--max-dim",
+            "--epochs",
+        ],
+    ),
+    ("registry publish", &["--name", "--label", "--registry"]),
+    ("registry ls", &["--registry"]),
+    ("registry gc", &["--registry"]),
+    ("registry fsck", &["--registry"]),
+    (
+        "registry promote",
+        &[
+            "--from",
+            "--to",
+            "--force",
+            "--tol-pct",
+            "--quality-tol-pct",
+            "--baseline",
+            "--candidate",
+            "--quality",
+            "--registry",
+            "--history",
+        ],
+    ),
+    ("registry rollback", &["--label", "--registry"]),
+    (
+        "serve",
+        &[
+            "--model",
+            "--registry",
+            "--addr",
+            "--shards",
+            "--resident-cap",
+            "--batch-max",
+            "--queue-cap",
+            "--out",
+            "--slo-ms",
+            "--slo-objective",
+            "--profile-hz",
+            "--canary-pct",
+            "--observe",
+            "--quality-window",
+            "--quality-slo-smape",
+            "--quality-slo-objective",
+            "--quality-ph-delta",
+            "--quality-ph-lambda",
+            "--history",
+        ],
+    ),
+    ("characterize", &["--max-len"]),
+    ("datasets", &[]),
+    ("methods", &[]),
+    ("example-config", &[]),
+];
+
+/// Flags that take no value.
+const SWITCHES: [&str; 1] = ["--force"];
+
+/// Refuses a flag the command does not read, naming it. Commands missing
+/// from [`FLAGS`] are left to the dispatcher's usage message.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let words = match args.first().map(String::as_str) {
+        Some("bench" | "obs" | "registry") => 2,
+        _ => 1,
+    };
+    let Some(cmd) = args.get(..words).map(|w| w.join(" ")) else {
+        return Ok(());
+    };
+    let Some((_, known)) = FLAGS.iter().find(|(c, _)| *c == cmd) else {
+        return Ok(());
+    };
+    let mut rest = args[words..].iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        if !known.contains(&arg.as_str()) {
+            return Err(format!(
+                "tfb {cmd}: unknown flag {arg} (run `tfb` for the flag list)"
+            ));
+        }
+        if !SWITCHES.contains(&arg.as_str()) {
+            rest.next(); // the flag's value
+        }
+    }
+    Ok(())
+}
+
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
@@ -141,13 +271,15 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-/// Positional (non-flag) arguments. Every `--flag` consumes the next
-/// argument as its value.
+/// Positional (non-flag) arguments. Every `--flag` but a switch consumes
+/// the next argument as its value.
 fn positionals(args: &[String]) -> Vec<String> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        if args[i].starts_with("--") {
+        if SWITCHES.contains(&args[i].as_str()) {
+            i += 1;
+        } else if args[i].starts_with("--") {
             i += 2;
         } else {
             out.push(args[i].clone());
@@ -1980,29 +2112,6 @@ fn report_quality(drain: &tfb::serve::DrainReport, out_dir: Option<&Path>) {
     }
 }
 
-/// Every flag `tfb serve` reads.
-const SERVE_FLAGS: [&str; 19] = [
-    "--model",
-    "--registry",
-    "--addr",
-    "--shards",
-    "--resident-cap",
-    "--batch-max",
-    "--queue-cap",
-    "--out",
-    "--slo-ms",
-    "--slo-objective",
-    "--profile-hz",
-    "--canary-pct",
-    "--observe",
-    "--quality-window",
-    "--quality-slo-smape",
-    "--quality-slo-objective",
-    "--quality-ph-delta",
-    "--quality-ph-lambda",
-    "--history",
-];
-
 /// The value of `flag` parsed as `T`, `None` when the flag is absent; a
 /// missing or unparsable value, or one `valid` refuses, is an error
 /// naming the flag.
@@ -2105,15 +2214,6 @@ impl ServeFlags {
 }
 
 fn cmd_serve(args: &[String]) -> ExitCode {
-    // `flag_value` ignores flags nobody asks for, so a misspelled or
-    // retired flag would otherwise serve silently with defaults.
-    if let Some(flag) = args
-        .iter()
-        .find(|a| a.starts_with("--") && !SERVE_FLAGS.contains(&a.as_str()))
-    {
-        eprintln!("tfb serve: unknown flag {flag} (run `tfb` for the flag list)");
-        return ExitCode::FAILURE;
-    }
     let flags = match ServeFlags::parse(args) {
         Ok(f) => f,
         Err(e) => {

@@ -211,6 +211,66 @@ fn bad_flag_values_fail_before_any_work_naming_the_flag() {
 }
 
 #[test]
+fn unknown_flags_fail_before_any_work_naming_the_flag() {
+    let dir = std::env::temp_dir().join(format!("tfb_cli_unknown_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("a.json");
+    std::fs::write(
+        &manifest,
+        r#"{"schema": "tfb-obs/v1", "cores": 1, "wall_ns": 1000}"#,
+    )
+    .unwrap();
+    let manifest = manifest.to_str().unwrap();
+    let model = dir.join("m.tfba");
+    let model = model.to_str().unwrap();
+    let gate = [
+        "obs",
+        "gate",
+        "--baseline",
+        manifest,
+        "--candidate",
+        manifest,
+        "--history",
+        "none",
+    ];
+    // The same gate passes without the typo.
+    assert!(tfb(&gate).status.success());
+    let typo_gate = [&gate[..], &["--tol-pcx", "abc"]].concat();
+    let cases: [(&[&str], &str); 2] = [
+        (&typo_gate, "--tol-pcx"),
+        (&["train", "--lookbak", "12", "--out", model], "--lookbak"),
+    ];
+    for (args, flag) in cases {
+        let out = tfb(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(
+            err.contains(flag),
+            "{args:?}: error must name {flag}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} did work despite {flag}");
+    }
+    assert!(
+        !std::path::Path::new(model).exists(),
+        "train ran despite an unknown flag"
+    );
+    // A switch takes no value: the name after `--force` stays positional.
+    let registry = dir.join("registry");
+    let out = tfb(&[
+        "registry",
+        "promote",
+        "--force",
+        "alpha",
+        "--registry",
+        registry.to_str().unwrap(),
+    ]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("unknown flag"), "{err}");
+    assert!(!err.contains("expected exactly one model NAME"), "{err}");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
 fn obs_gate_refuses_manifests_from_different_machines() {
     let dir = std::env::temp_dir().join(format!("tfb_cli_machines_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
