@@ -250,6 +250,9 @@ fn data(n: usize, seed: u64, zeros: bool) -> Vec<f64> {
         .collect()
 }
 
+/// Left operands a zero-laden GEMM cell cycles through.
+const ZERO_POOL: usize = 64;
+
 fn run_math(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
     let n = cell.n;
     let depth = cell.depth;
@@ -273,20 +276,46 @@ fn run_math(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
                 out[0]
             })
         }
-        "gemm" => {
-            let lhs = data(depth, (depth * 31 + n) as u64, false);
+        "gemm" | "gemm_tn" => {
+            let (rows, tn) = (cell.rows, cell.workload == "gemm_tn");
+            if cell.zeros > 100 {
+                return Err(format!("{}: zeros is a percent (0-100)", cell.id));
+            }
+            // A zero-laden cell cycles through `ZERO_POOL` left operands:
+            // one fixed zero pattern would be learned by the branch
+            // predictor and time a skip no real caller gets.
+            let pool = if cell.zeros > 0 { ZERO_POOL } else { 1 };
+            let lhs: Vec<Vec<f64>> = (0..pool as u64)
+                .map(|p| {
+                    let mut lhs = data(rows * depth, (depth * 31 + n) as u64 + 97 * p, false);
+                    let mut state = (p + 1).wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
+                    for v in &mut lhs {
+                        if (xorshift(&mut state) % 100) < cell.zeros as u64 {
+                            *v = 0.0;
+                        }
+                    }
+                    lhs
+                })
+                .collect();
             let rhs = data(depth * n, (depth * 37 + n) as u64, false);
-            let out = std::cell::RefCell::new(data(n, n as u64 + 9, false));
+            let out = std::cell::RefCell::new(data(rows * n, n as u64 + 9, false));
+            let next = std::cell::Cell::new(0);
             Box::new(move || {
+                let i = next.get();
+                next.set((i + 1) % pool);
                 let mut out = out.borrow_mut();
-                let (lhs, rhs) = (black_box(&lhs), black_box(&rhs));
-                kernel::gemm(lhs, depth, rhs, n, black_box(&mut out));
+                let (lhs, rhs) = (black_box(&lhs[i]), black_box(&rhs));
+                if tn {
+                    kernel::gemm_tn(lhs, depth, rhs, n, black_box(&mut out));
+                } else {
+                    kernel::gemm(lhs, depth, rhs, n, black_box(&mut out));
+                }
                 out[0]
             })
         }
         other => {
             return Err(format!(
-                "{}: unknown math workload {other:?} (dot|dot_skip|axpy|gemm)",
+                "{}: unknown math workload {other:?} (dot|dot_skip|axpy|gemm|gemm_tn)",
                 cell.id
             ))
         }

@@ -100,12 +100,21 @@ pub struct Cell {
     /// over all windows, the default) or `sequential` (one `predict`
     /// per window; the pre-batching reference path).
     pub inference: String,
-    /// Math engine: which kernel (`dot`, `dot_skip`, `axpy`, `gemm`).
+    /// Math engine: which kernel (`dot`, `dot_skip`, `axpy`, `gemm`,
+    /// `gemm_tn`).
     pub workload: String,
     /// Math engine: vector length / GEMM output width.
     pub n: usize,
     /// Math engine: GEMM reduction depth.
     pub depth: usize,
+    /// Math engine: GEMM output rows (left-hand rows; columns for
+    /// `gemm_tn`).
+    pub rows: usize,
+    /// Math engine: percent of GEMM left-hand values that are exact
+    /// zeros, as ReLU leaves them. A cell with zeros cycles through a
+    /// pool of left operands with different zero patterns, so no branch
+    /// predictor can learn one.
+    pub zeros: usize,
     /// Serve engine: closed-loop client count.
     pub clients: usize,
     /// Serve engine: leg duration in milliseconds.
@@ -153,8 +162,8 @@ fn cell_key(key: &str) -> Option<Kind> {
         "dataset" | "method" | "characteristic" | "normalization" | "multistep" | "inference"
         | "workload" => Some(Kind::Str),
         "horizon" | "lookback" | "max_windows" | "max_len" | "max_dim" | "iters" | "epochs"
-        | "stride" | "n" | "depth" | "clients" | "duration_ms" | "shards" | "models"
-        | "resident_cap" => Some(Kind::Int),
+        | "stride" | "n" | "depth" | "rows" | "zeros" | "clients" | "duration_ms" | "shards"
+        | "models" | "resident_cap" => Some(Kind::Int),
         _ => None,
     }
 }
@@ -280,6 +289,8 @@ pub fn parse_suite(doc: &JsonValue, path: &Path) -> Result<Suite, String> {
             workload: get_merged_str(entry, defaults, "workload", "dot"),
             n: get_usize(entry, defaults, "n", 256),
             depth: get_usize(entry, defaults, "depth", 24),
+            rows: get_usize(entry, defaults, "rows", 1),
+            zeros: get_usize(entry, defaults, "zeros", 0),
             clients: get_usize(entry, defaults, "clients", 4),
             duration_ms: get_usize(entry, defaults, "duration_ms", 400) as u64,
             shards: get_usize(entry, defaults, "shards", 1),

@@ -38,7 +38,7 @@ pub const SCHEMA_NAME: &str = "tfb-artifact";
 const MAX_STRING_LEN: u64 = 4096;
 
 /// Upper bound on a single tensor's element count (~2 GiB of f64).
-const MAX_TENSOR_LEN: u64 = 1 << 28;
+pub(crate) const MAX_TENSOR_LEN: u64 = 1 << 28;
 
 /// 64-bit FNV-1a over a byte slice — the artifact's integrity trailer.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {

@@ -185,14 +185,10 @@ impl ModelArtifact {
         let scheme = Normalization::parse_name(&scheme_name).ok_or_else(|| {
             ArtifactError::Format(format!("unknown normalization scheme {scheme_name:?}"))
         })?;
-        let lookback = r.get_u64("lookback").map_err(fmt)? as usize;
-        let horizon = r.get_u64("horizon").map_err(fmt)? as usize;
-        let dim = r.get_u64("dim").map_err(fmt)? as usize;
-        if lookback == 0 || horizon == 0 || dim == 0 {
-            return Err(ArtifactError::Format(format!(
-                "degenerate geometry: lookback {lookback}, horizon {horizon}, dim {dim}"
-            )));
-        }
+        let lookback = r.get_u64("lookback").map_err(fmt)?;
+        let horizon = r.get_u64("horizon").map_err(fmt)?;
+        let dim = r.get_u64("dim").map_err(fmt)?;
+        let (lookback, horizon, dim) = checked_geometry(lookback, horizon, dim)?;
         let offset = r.get_vec("norm offset").map_err(fmt)?;
         let scale = r.get_vec("norm scale").map_err(fmt)?;
         if offset.len() != dim || scale.len() != dim {
@@ -282,6 +278,42 @@ pub fn supported_methods() -> Vec<&'static str> {
     out.extend(DeepModelKind::PAPER_BASELINES.iter().map(|k| k.label()));
     out.push(DeepModelKind::Mlp.label());
     out
+}
+
+/// The decoded geometry, refused unless it is positive and every buffer
+/// it sizes holds at most [`format::MAX_TENSOR_LEN`] values: a window is
+/// `lookback·dim`, a forecast `horizon·dim`, a linear head
+/// `lookback·horizon`. Loading or serving a model allocates those, so an
+/// unchecked field would abort the process instead of failing to decode.
+fn checked_geometry(
+    lookback: u64,
+    horizon: u64,
+    dim: u64,
+) -> Result<(usize, usize, usize), ArtifactError> {
+    if lookback == 0 || horizon == 0 || dim == 0 {
+        return Err(ArtifactError::Format(format!(
+            "degenerate geometry: lookback {lookback}, horizon {horizon}, dim {dim}"
+        )));
+    }
+    let sizes = [
+        Some(lookback),
+        Some(horizon),
+        Some(dim),
+        lookback.checked_mul(dim),
+        horizon.checked_mul(dim),
+        lookback.checked_mul(horizon),
+    ];
+    if sizes
+        .iter()
+        .any(|s| s.is_none_or(|s| s > format::MAX_TENSOR_LEN))
+    {
+        return Err(ArtifactError::Format(format!(
+            "geometry too large: lookback {lookback}, horizon {horizon}, dim {dim} \
+             (each buffer is limited to {} values)",
+            format::MAX_TENSOR_LEN
+        )));
+    }
+    Ok((lookback as usize, horizon as usize, dim as usize))
 }
 
 /// Trains `method` on the **normalized** training segment and packages

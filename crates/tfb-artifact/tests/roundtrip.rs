@@ -162,6 +162,39 @@ fn corrupt_and_truncated_artifacts_are_structured_errors() {
 }
 
 #[test]
+fn oversized_geometry_is_a_format_error_at_decode() {
+    // Each of these decoded before the geometry bound and then aborted
+    // the process that served it (a 2^36-deep NLinear head, a 2^40-long
+    // naive forecast) or overflowed `rows * cols` while building one.
+    let deep = train_artifact("NLinear", 8, 4);
+    let naive = train_artifact("Naive", 8, 4);
+    let mut crafted = Vec::new();
+    for (base, lookback, horizon) in [
+        (&deep, 1u64 << 36, 4u64),
+        (&naive, 8, 1 << 40),
+        (&deep, 768_614_336_404_564_651, 4),
+    ] {
+        let mut artifact = base.clone();
+        artifact.lookback = lookback as usize;
+        artifact.horizon = horizon as usize;
+        crafted.push(artifact.to_bytes());
+    }
+    for (i, bytes) in crafted.iter().enumerate() {
+        match ModelArtifact::from_bytes(bytes) {
+            Err(ArtifactError::Format(msg)) => assert!(msg.contains("geometry"), "{i}: {msg}"),
+            other => panic!("artifact {i}: expected Format error, got {other:?}"),
+        }
+    }
+    // The bound leaves real geometries alone.
+    for artifact in [deep, naive] {
+        assert_eq!(
+            ModelArtifact::from_bytes(&artifact.to_bytes()).unwrap(),
+            artifact
+        );
+    }
+}
+
+#[test]
 fn unknown_method_is_unsupported() {
     let profile = profile_by_name("ILI").expect("ILI profile");
     let series = profile.generate(Scale::TINY);

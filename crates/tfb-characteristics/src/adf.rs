@@ -78,7 +78,7 @@ pub fn adf_statistic(series: &[f64], lags: usize) -> Option<f64> {
             xd[(r, c + 1)] = x[(r, c)];
         }
     }
-    let xtx = xd.transpose().matmul(&xd).ok()?;
+    let xtx = xd.transpose_matmul(&xd).ok()?;
     let inv = xtx.inverse().ok()?;
     let se = (sigma2 * inv[(1, 1)]).sqrt();
     if se < 1e-300 {

@@ -112,14 +112,13 @@ impl Matrix {
         t
     }
 
-    /// Matrix product `self * rhs`, cache-blocked.
+    /// Matrix product `self * rhs`.
     ///
-    /// Uses a tiled ikj kernel (k-tiles keep the active slab of `rhs` hot
-    /// in cache across output rows) with a transposed-`rhs` dot-product
-    /// fast path for deep single-column products, where there is no output
-    /// row to tile over. Both kernels accumulate each output element over
-    /// `k` in ascending order and skip zero left-hand terms, so every
-    /// shape produces the same result to the last bit.
+    /// Uses the register-tiled kernel ([`kernel::gemm`]) with a
+    /// transposed-`rhs` dot-product fast path for deep single-column
+    /// products. Both kernels accumulate each output element over `k` in
+    /// ascending order and skip zero left-hand terms, so every shape
+    /// produces the same result to the last bit.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(MathError::DimensionMismatch { context: "matmul" });
@@ -133,6 +132,26 @@ impl Matrix {
         } else {
             kernel::gemm(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
         }
+        Ok(out)
+    }
+
+    /// `selfᵀ * rhs` without forming the transpose: bit for bit
+    /// `self.transpose().matmul(rhs)`, counted as that one product.
+    pub fn transpose_matmul(&self, rhs: &Matrix) -> Result<Matrix> {
+        if self.rows != rhs.rows {
+            return Err(MathError::DimensionMismatch {
+                context: "transpose_matmul",
+            });
+        }
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        gemm_tn_acc(
+            &self.data,
+            self.rows,
+            self.cols,
+            &rhs.data,
+            rhs.cols,
+            &mut out.data,
+        );
         Ok(out)
     }
 
@@ -498,28 +517,28 @@ pub fn par_gemm(
     });
 }
 
-/// `out += lhs · rhs` on the blocked kernel, single-threaded, for callers
-/// that accumulate a product over several calls (LR's normal equations,
-/// block by block). `lhs` is `rows` × `depth`, `rhs` is `depth` ×
-/// `out_cols`, all row-major. Unlike [`par_gemm`], whose deep
-/// single-column path assigns its dot products, every shape here adds to
-/// what `out` holds, each element taking its `k` terms in ascending order
-/// with the zero-skip; so accumulating the row blocks of a product in
-/// order gives the one-call product bit for bit.
-pub fn gemm_acc(
+/// `out += lhsᵀ · rhs` for `lhs` `depth` × `rows` and `rhs` `depth` ×
+/// `out_cols`, all row-major, single-threaded, without forming the
+/// transpose. Every element adds its `k` terms to what `out` holds, in
+/// ascending order with the zero-skip, so accumulating the row blocks of
+/// `lhs` and `rhs` in order gives the one-call product bit for bit.
+/// Counted as one product, as [`par_gemm`] counts. Weight gradients
+/// (`Aᵀ·dOut`) and normal equations (`Xᵀ·X`, `Xᵀ·Y`) read their left
+/// operand this way.
+pub fn gemm_tn_acc(
     lhs: &[f64],
-    rows: usize,
     depth: usize,
+    rows: usize,
     rhs: &[f64],
     out_cols: usize,
     out: &mut [f64],
 ) {
-    assert_eq!(lhs.len(), rows * depth, "gemm_acc lhs shape");
-    assert_eq!(rhs.len(), depth * out_cols, "gemm_acc rhs shape");
-    assert_eq!(out.len(), rows * out_cols, "gemm_acc out shape");
+    assert_eq!(lhs.len(), depth * rows, "gemm_tn_acc lhs shape");
+    assert_eq!(rhs.len(), depth * out_cols, "gemm_tn_acc rhs shape");
+    assert_eq!(out.len(), rows * out_cols, "gemm_tn_acc out shape");
     tfb_obs::counter!("gemm/calls").add(1);
     tfb_obs::counter!("gemm/flops_est").add(2 * (rows * depth * out_cols) as u64);
-    kernel::gemm(lhs, depth, rhs, out_cols, out);
+    kernel::gemm_tn(lhs, depth, rhs, out_cols, out);
 }
 
 /// Dot-product kernel over a pre-transposed right operand (`bt` is
@@ -654,7 +673,7 @@ mod tests {
 
     #[test]
     fn blocked_matmul_is_bit_identical_to_naive() {
-        // Shapes straddling the k-tile width and the transposed-path gate.
+        // Long depths, odd tails and the transposed-path gate.
         for &(m, k, n) in &[
             (3usize, 5usize, 4usize),
             (17, 130, 9),  // k crosses the 128-wide tile boundary

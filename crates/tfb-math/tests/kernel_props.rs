@@ -1,7 +1,9 @@
 //! Property tests: every unrolled/AVX2 microkernel path is bit-for-bit
 //! identical to the scalar reference on random shapes — including
 //! non-multiple-of-4 tails, exact zeros (the GEMM zero-skip), and
-//! non-finite right-hand values the skip semantics exist for.
+//! non-finite right-hand values the skip semantics exist for. The GEMM
+//! tiles and their transposed-left entry are checked against the plain
+//! triple loop, with `-0.0` outputs that only a true skip preserves.
 
 use tfb_math::kernel::{self, KernelPath};
 use tfb_math::Matrix;
@@ -133,8 +135,8 @@ fn triple_loop(lhs: &[f64], depth: usize, rhs: &[f64], n: usize, out: &mut [f64]
 
 #[test]
 fn gemm_matches_the_triple_loop_on_every_path() {
-    // Rows 1–24; depths across the 4-term fusion (1–9) and the 128-deep
-    // k-tile (127–130); every width 1–48 appears somewhere in the sweep.
+    // Rows 1–24; short depths (1–9) and long ones (127–130); every width
+    // 1–48 appears somewhere in the sweep.
     let depths = [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129, 130];
     let mut paths = vec![KernelPath::Scalar];
     paths.extend(alt_paths());
@@ -187,6 +189,148 @@ fn gemm_matches_the_triple_loop_on_every_path() {
             }
             case += 1;
         }
+    }
+}
+
+/// One case of the tile sweep: `rows` × `depth` × `n`, dense or built so
+/// that a wrong zero-skip cannot hide.
+struct TileCase {
+    lhs: Vec<f64>,
+    rhs: Vec<f64>,
+    base: Vec<f64>,
+}
+
+impl TileCase {
+    /// No zero anywhere and every value finite: every row block takes the
+    /// dense tile, and the sums show any change of rounding.
+    fn dense(rows: usize, depth: usize, n: usize) -> TileCase {
+        let mut rng = Rng::new((rows * 10_007 + depth * 101 + n) as u64);
+        TileCase {
+            lhs: rng.vec(rows * depth, false),
+            rhs: rng.vec(depth * n, false),
+            base: rng.vec(rows * n, false),
+        }
+    }
+
+    /// Row `i` of the left operand is dense when `i % 3 == 0`, all zeros
+    /// when `i % 3 == 1`, and ±0.0 at every third `k` otherwise, so every
+    /// block of four rows mixes dense and zero-holding rows. On those `k`
+    /// the even columns of the right operand carry ±inf and NaN: a zero
+    /// term that reached a zero-holding row's sum would turn it
+    /// non-finite, while the odd columns keep every sum finite. Outputs
+    /// start at `-0.0` and `+0.0` on the all-zero rows (every term is
+    /// skipped, so both must come back unchanged) and at random values
+    /// elsewhere.
+    fn mixed(rows: usize, depth: usize, n: usize) -> TileCase {
+        let TileCase {
+            mut lhs,
+            mut rhs,
+            mut base,
+        } = TileCase::dense(rows, depth, n);
+        for i in 0..rows {
+            for k in 0..depth {
+                match i % 3 {
+                    1 => lhs[i * depth + k] = 0.0,
+                    2 if k % 3 == 0 => lhs[i * depth + k] = if k % 2 == 0 { 0.0 } else { -0.0 },
+                    _ => {}
+                }
+            }
+        }
+        for k in (0..depth).step_by(3) {
+            for j in (0..n).step_by(2) {
+                rhs[k * n + j] = match (k + j) % 3 {
+                    0 => f64::INFINITY,
+                    1 => f64::NEG_INFINITY,
+                    _ => f64::NAN,
+                };
+            }
+        }
+        for i in (1..rows).step_by(3) {
+            for j in 0..n {
+                base[i * n + j] = if j % 2 == 0 { -0.0 } else { 0.0 };
+            }
+        }
+        TileCase { lhs, rhs, base }
+    }
+
+    /// The left operand's explicit transpose, `depth` × `rows`.
+    fn lhs_t(&self, rows: usize, depth: usize) -> Vec<f64> {
+        let mut t = vec![0.0; rows * depth];
+        for i in 0..rows {
+            for k in 0..depth {
+                t[k * rows + i] = self.lhs[i * depth + k];
+            }
+        }
+        t
+    }
+
+    /// Runs `gemm` and `gemm_tn` on every path against the triple loop.
+    fn check(&self, rows: usize, depth: usize, n: usize) {
+        let mut want = self.base.clone();
+        triple_loop(&self.lhs, depth, &self.rhs, n, &mut want);
+        for (i, row) in want.chunks(n).enumerate() {
+            for (j, v) in row.iter().enumerate() {
+                assert!(
+                    v.is_finite() || (i % 3 == 0 && j % 2 == 0),
+                    "reference {i},{j} not finite"
+                );
+            }
+        }
+        let lhs_t = self.lhs_t(rows, depth);
+        let mut paths = vec![KernelPath::Scalar];
+        paths.extend(alt_paths());
+        for path in paths {
+            let mut nn = self.base.clone();
+            kernel::with_path(path, || {
+                kernel::gemm(&self.lhs, depth, &self.rhs, n, &mut nn)
+            });
+            let mut tn = self.base.clone();
+            kernel::with_path(path, || {
+                kernel::gemm_tn(&lhs_t, depth, &self.rhs, n, &mut tn)
+            });
+            for (entry, got) in [("gemm", &nn), ("gemm_tn", &tn)] {
+                for (e, (x, y)) in want.iter().zip(got.iter()).enumerate() {
+                    assert!(
+                        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                        "{entry} {rows}x{depth}x{n} {path:?}: element {e} differs ({x:?} vs {y:?})"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn tiles_match_the_triple_loop_for_every_row_count_and_width() {
+    // Row counts 1–9 cover full four-row blocks and every remainder;
+    // widths 1–17 every tile width and masked column tail.
+    for rows in 1..=9 {
+        for n in 1..=17 {
+            for depth in [1, 2, 3, 7, 24] {
+                TileCase::dense(rows, depth, n).check(rows, depth, n);
+                TileCase::mixed(rows, depth, n).check(rows, depth, n);
+            }
+        }
+    }
+}
+
+#[test]
+fn tiles_match_the_triple_loop_on_the_traffic_shapes() {
+    // The products deep training and LR normal equations run most
+    // (rows × depth × width): attention and ReLU-fed hidden layers, the
+    // PatchTST head and its one-row input gradient, LR's `XᵀX` block.
+    for (rows, depth, n) in [
+        (7, 24, 24),
+        (6, 48, 24),
+        (24, 7, 24),
+        (7, 24, 7),
+        (24, 7, 7),
+        (168, 1, 24),
+        (1, 24, 168),
+        (105, 128, 105),
+    ] {
+        TileCase::dense(rows, depth, n).check(rows, depth, n);
+        TileCase::mixed(rows, depth, n).check(rows, depth, n);
     }
 }
 

@@ -10,8 +10,7 @@
 use crate::tabular::pooled_lag_samples;
 use crate::{ModelError, Result, WindowForecaster};
 use tfb_data::MultiSeries;
-use tfb_math::kernel::K_TILE;
-use tfb_math::matrix::{gemm_acc, Matrix};
+use tfb_math::matrix::{gemm_tn_acc, Matrix};
 
 /// Ridge autoregression with direct multi-step output.
 #[derive(Debug, Clone)]
@@ -172,26 +171,27 @@ impl WindowForecaster for LinearRegressionForecaster {
 /// columns) and the targets `Y` whose row `r` is `ys[r]` (`horizon`
 /// columns).
 ///
-/// The samples go through the GEMM kernel one k-tile (128 samples) at a
-/// time: a block of design rows and its transpose are built, and
-/// `Xbᵀ·Xb` and `Xbᵀ·Yb` are added into the two sums. The kernel adds
-/// every element's terms in ascending sample order onto what the sum
-/// already holds, so the blocks give the one-call products bit for bit,
-/// while the full design matrix and its transpose are never built. The
-/// zero-skip leaves out the `0·y` terms of zero design entries, which
-/// change nothing for finite targets.
+/// The samples go through the GEMM kernel 128 at a time: a block of
+/// design rows is built, and `Xbᵀ·Xb` and `Xbᵀ·Yb` are added into the
+/// two sums by the transposed-left entry, which reads `Xbᵀ` straight
+/// from the rows. The kernel adds every element's terms in ascending
+/// sample order onto what the sum already holds, so the blocks give the
+/// one-call products bit for bit, while neither the full design matrix
+/// nor any transpose is built. The zero-skip leaves out the `0·y` terms
+/// of zero design entries, which change nothing for finite targets.
 fn normal_equations(
     xs: &[Vec<f64>],
     ys: &[Vec<f64>],
     p: usize,
     horizon: usize,
 ) -> (Matrix, Matrix) {
+    /// Samples per block of design rows.
+    const BLOCK: usize = 128;
     let mut xtx = Matrix::zeros(p, p);
     let mut xty = Matrix::zeros(p, horizon);
-    let mut rows = Vec::with_capacity(K_TILE * p);
-    let mut cols = Vec::with_capacity(p * K_TILE);
-    let mut targets = Vec::with_capacity(K_TILE * horizon);
-    for (xb, yb) in xs.chunks(K_TILE).zip(ys.chunks(K_TILE)) {
+    let mut rows = Vec::with_capacity(BLOCK * p);
+    let mut targets = Vec::with_capacity(BLOCK * horizon);
+    for (xb, yb) in xs.chunks(BLOCK).zip(ys.chunks(BLOCK)) {
         let n = xb.len();
         rows.clear();
         targets.clear();
@@ -200,15 +200,8 @@ fn normal_equations(
             rows.extend_from_slice(x);
             targets.extend_from_slice(y);
         }
-        cols.clear();
-        cols.resize(p * n, 0.0);
-        for (r, row) in rows.chunks_exact(p).enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                cols[j * n + r] = v;
-            }
-        }
-        gemm_acc(&cols, p, n, &rows, p, xtx.data_mut());
-        gemm_acc(&cols, p, n, &targets, horizon, xty.data_mut());
+        gemm_tn_acc(&rows, n, p, &rows, p, xtx.data_mut());
+        gemm_tn_acc(&rows, n, p, &targets, horizon, xty.data_mut());
     }
     (xtx, xty)
 }

@@ -11,8 +11,10 @@
 //! small enough to audit.
 //!
 //! Only nodes that some parameter feeds receive gradients. Matrix-product
-//! gradients run on the shared GEMM kernel
-//! ([`tfb_math::matrix::par_gemm`]). Every gradient element still adds
+//! gradients run on the shared GEMM kernel: `dA = dOut·Bᵀ` through
+//! [`tfb_math::matrix::par_gemm`], `dB = Aᵀ·dOut` through the
+//! transposed-left entry [`tfb_math::matrix::gemm_tn_acc`], which reads
+//! `A`'s rows as they are. Every gradient element still adds
 //! its terms in ascending order, starting from `+0.0`; the kernel's
 //! zero-skip drops only `±0` terms, which cannot change such a sum when
 //! the operands are finite, so the gradients equal the plain triple-loop
@@ -21,11 +23,11 @@
 //! Parameter values change only when the store's [`Stamp`] does (once
 //! per optimizer step in training), so a tape keeps what it derives from
 //! them for as long as the stamp holds: a node slot that already holds a
-//! parameter at the current stamp is not copied again, and the matmul
-//! backward reuses a parameter's transpose built at that stamp.
+//! parameter at the current stamp is not copied again, and `dA` reuses
+//! the transpose of a parameter `B` built at that stamp.
 
 use crate::optim::{ParamId, ParamStore, Stamp};
-use tfb_math::matrix::par_gemm;
+use tfb_math::matrix::{gemm_tn_acc, par_gemm};
 
 /// Handle to a node on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,7 +113,8 @@ pub struct Tape {
     grads: Vec<Vec<f64>>,
     /// How many leading nodes the last [`Tape::backward`] gave gradients.
     grads_valid: usize,
-    /// Scratch of the matmul backward: a transposed operand and a product.
+    /// Scratch of the matmul backward: a transposed right operand and a
+    /// product.
     transposed: Vec<f64>,
     product: Vec<f64>,
     /// Parameter transposes of the matmul backward, by parameter index,
@@ -537,17 +540,15 @@ impl Tape {
                             &mut self.param_t,
                             &mut self.transposed,
                         );
-                        gemm_acc(grad, ar, bc, bt, ac, &mut self.product, &mut grads[a]);
+                        add_product(&mut self.product, &mut grads[a], |p| {
+                            par_gemm(grad, ar, bc, bt, ac, p)
+                        });
                     }
                     if wants(b) {
-                        // dB = Aᵀ · dOut
-                        let at = transposed(
-                            (&values[a], ar, ac),
-                            nodes[a].param,
-                            &mut self.param_t,
-                            &mut self.transposed,
-                        );
-                        gemm_acc(at, ac, ar, grad, bc, &mut self.product, &mut grads[b]);
+                        // dB = Aᵀ · dOut, read straight from A's rows.
+                        add_product(&mut self.product, &mut grads[b], |p| {
+                            gemm_tn_acc(&values[a], ar, ac, grad, bc, p)
+                        });
                     }
                 }
                 Op::Add(a, b) => {
@@ -812,21 +813,13 @@ fn transposed<'a>(
     t
 }
 
-/// `acc += lhs · rhs` for `lhs` `rows x depth` and `rhs` `depth x cols`.
-/// The product is formed in `scratch` first, so every element of `acc`
-/// receives one complete sum, as it would from a triple loop.
-fn gemm_acc(
-    lhs: &[f64],
-    rows: usize,
-    depth: usize,
-    rhs: &[f64],
-    cols: usize,
-    scratch: &mut Vec<f64>,
-    acc: &mut [f64],
-) {
+/// `acc += product`, where `gemm` forms the product in `scratch` from
+/// `+0.0` first, so every element of `acc` receives one complete sum, as
+/// it would from a triple loop.
+fn add_product(scratch: &mut Vec<f64>, acc: &mut [f64], gemm: impl FnOnce(&mut [f64])) {
     scratch.clear();
-    scratch.resize(rows * cols, 0.0);
-    par_gemm(lhs, rows, depth, rhs, cols, scratch);
+    scratch.resize(acc.len(), 0.0);
+    gemm(scratch);
     for (g, &p) in acc.iter_mut().zip(scratch.iter()) {
         *g += p;
     }

@@ -57,7 +57,9 @@
 //! Shutdown sequence: stop accepting; handler threads finish their
 //! in-flight request and stop reading new ones; the coalescer predicts
 //! whatever is still queued and answers it. Nothing accepted is
-//! dropped; nothing new is admitted.
+//! dropped; nothing new is admitted. The accept loops block in `accept`
+//! while idle, so the drain wakes each one with a loopback connection
+//! that it drops on seeing the flag.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -164,6 +166,23 @@ struct ServerCtx {
     observe: Option<ObserveHub>,
     coalescer: Coalescer,
     shutdown: AtomicBool,
+    /// Where a connection reaches the accept loops: the bound address,
+    /// or loopback when bound to every interface.
+    wake: SocketAddr,
+}
+
+impl ServerCtx {
+    /// Flags the drain and wakes every accept loop blocked in `accept`
+    /// with one connection per shard; a loop that wakes to the flag
+    /// drops its connection and exits. Only the first call connects.
+    fn begin_shutdown(&self) {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        for _ in 0..self.coalescer.shards() {
+            let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+        }
+    }
 }
 
 /// The stand-in predictor when a fleet has no unambiguous default
@@ -210,7 +229,7 @@ impl ServerHandle {
     /// Flags the server to drain (idempotent; `POST /shutdown` and the
     /// signal path funnel here).
     pub fn request_shutdown(&self) {
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
+        self.ctx.begin_shutdown();
     }
 
     /// Whether a drain has been requested from any path.
@@ -311,8 +330,14 @@ fn serve_inner(
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    let mut wake = addr;
+    if addr.ip().is_unspecified() {
+        wake.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
     let has_default = info.is_some();
     let observe = config
         .observe
@@ -330,11 +355,12 @@ fn serve_inner(
         observe,
         coalescer,
         shutdown: AtomicBool::new(false),
+        wake,
     });
     // One accept loop per shard over dup'd handles of the same bound
-    // socket: the kernel wakes whichever loops are polling, connections
-    // spread across shards, and each connection's requests feed the
-    // queue of the shard that accepted it.
+    // socket: the kernel hands each connection to one of the loops
+    // blocked in `accept`, connections spread across shards, and each
+    // connection's requests feed the queue of the shard that accepted it.
     let accepts = (0..shards)
         .map(|shard| {
             let shard_listener = listener.try_clone()?;
@@ -350,8 +376,14 @@ fn serve_inner(
 
 fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>, shard: usize) {
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !ctx.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // The drain's wake-up connection, or a client's that raced it:
+        // dropped unanswered, as closing the listener would.
+        if ctx.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let conn_ctx = Arc::clone(&ctx);
                 match std::thread::Builder::new()
@@ -362,9 +394,8 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>, shard: usize) {
                     Err(_) => tfb_obs::counter!("serve/spawn_failures").add(1),
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Out of descriptors, or a peer that reset before the
+            // accept: back off briefly instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
         // Reap finished handlers so the vec stays bounded by live
@@ -462,7 +493,7 @@ fn route(
             resp.body.push_str(&tfb_obs::metrics_snapshot().to_json());
         }
         ("POST", "/shutdown") => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
+            ctx.begin_shutdown();
             resp.set_json(200);
             resp.body.push_str("{\"status\": \"draining\"}\n");
         }
