@@ -61,7 +61,56 @@ enum Op {
     Reshape(usize),
 }
 
+/// Op kind names, in [`Op::kind`] order: the `<kind>` of the
+/// `nn/op/<kind>_{nodes,visits,elems}` counters.
+const OP_KINDS: [&str; 19] = [
+    "leaf",
+    "matmul",
+    "add",
+    "sub",
+    "mul_elem",
+    "scale",
+    "add_row_broadcast",
+    "mul_row_broadcast",
+    "relu",
+    "tanh",
+    "sigmoid",
+    "softmax_rows",
+    "transpose",
+    "mean_all",
+    "concat_cols",
+    "layer_norm_rows",
+    "avg_pool_rows",
+    "causal_conv1d",
+    "reshape",
+];
+
 impl Op {
+    /// Index of this op's name in [`OP_KINDS`].
+    fn kind(self) -> usize {
+        match self {
+            Op::Leaf => 0,
+            Op::MatMul(..) => 1,
+            Op::Add(..) => 2,
+            Op::Sub(..) => 3,
+            Op::MulElem(..) => 4,
+            Op::Scale(..) => 5,
+            Op::AddRowBroadcast(..) => 6,
+            Op::MulRowBroadcast(..) => 7,
+            Op::Relu(..) => 8,
+            Op::Tanh(..) => 9,
+            Op::Sigmoid(..) => 10,
+            Op::SoftmaxRows(..) => 11,
+            Op::Transpose(..) => 12,
+            Op::MeanAll(..) => 13,
+            Op::ConcatCols(..) => 14,
+            Op::LayerNormRows(..) => 15,
+            Op::AvgPoolRows(..) => 16,
+            Op::CausalConv1d { .. } => 17,
+            Op::Reshape(..) => 18,
+        }
+    }
+
     /// The nodes this op reads.
     fn inputs(self) -> [Option<usize>; 2] {
         match self {
@@ -120,12 +169,99 @@ pub struct Tape {
     /// Parameter transposes of the matmul backward, by parameter index,
     /// with the stamp each was built at.
     param_t: Vec<(Option<Stamp>, Vec<f64>)>,
+    /// Per-op-kind counts, kept only once [`Tape::count_ops`] armed them.
+    tally: Option<Box<OpTally>>,
+}
+
+/// What a tape did per op kind ([`OP_KINDS`] order), across every pass
+/// since [`Tape::count_ops`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpTally {
+    /// Nodes recorded.
+    pub nodes: [u64; OP_KINDS.len()],
+    /// Nodes whose gradient a backward pass read.
+    pub visits: [u64; OP_KINDS.len()],
+    /// Value elements the recorded nodes produced.
+    pub elems: [u64; OP_KINDS.len()],
+}
+
+/// One `[nodes, visits, elems]` counter triple per op kind.
+macro_rules! op_counters {
+    ($($kind:literal),* $(,)?) => {
+        [$([
+            tfb_obs::Counter::new(concat!("nn/op/", $kind, "_nodes")),
+            tfb_obs::Counter::new(concat!("nn/op/", $kind, "_visits")),
+            tfb_obs::Counter::new(concat!("nn/op/", $kind, "_elems")),
+        ]),*]
+    };
+}
+
+static OP_COUNTERS: [[tfb_obs::Counter; 3]; OP_KINDS.len()] = op_counters!(
+    "leaf",
+    "matmul",
+    "add",
+    "sub",
+    "mul_elem",
+    "scale",
+    "add_row_broadcast",
+    "mul_row_broadcast",
+    "relu",
+    "tanh",
+    "sigmoid",
+    "softmax_rows",
+    "transpose",
+    "mean_all",
+    "concat_cols",
+    "layer_norm_rows",
+    "avg_pool_rows",
+    "causal_conv1d",
+    "reshape",
+);
+
+impl OpTally {
+    /// The name of kind `i`.
+    pub fn kind_name(i: usize) -> &'static str {
+        OP_KINDS[i]
+    }
+
+    /// Adds every non-zero count to its `nn/op/<kind>_{nodes,visits,elems}`
+    /// counter.
+    pub fn add_to_counters(&self) {
+        for (k, counters) in OP_COUNTERS.iter().enumerate() {
+            for (counter, n) in counters
+                .iter()
+                .zip([self.nodes[k], self.visits[k], self.elems[k]])
+            {
+                if n > 0 {
+                    counter.add(n);
+                }
+            }
+        }
+    }
 }
 
 impl Tape {
     /// Creates an empty tape.
     pub fn new() -> Tape {
         Tape::default()
+    }
+
+    /// Starts counting nodes, backward visits and elements per op kind
+    /// (see [`Tape::op_tally`]); a tape that never calls this counts
+    /// nothing.
+    pub fn count_ops(&mut self) {
+        self.tally.get_or_insert_with(|| {
+            Box::new(OpTally {
+                nodes: [0; OP_KINDS.len()],
+                visits: [0; OP_KINDS.len()],
+                elems: [0; OP_KINDS.len()],
+            })
+        });
+    }
+
+    /// The per-op-kind counts since [`Tape::count_ops`], if armed.
+    pub fn op_tally(&self) -> Option<&OpTally> {
+        self.tally.as_deref()
     }
 
     /// Empties the tape for the next pass. Every value and gradient buffer
@@ -164,6 +300,10 @@ impl Tape {
                 self.values.push(value);
                 self.held.push(None);
             }
+        }
+        if let Some(t) = &mut self.tally {
+            t.nodes[op.kind()] += 1;
+            t.elems[op.kind()] += (rows * cols) as u64;
         }
         // Gradient buffers are sized by `backward`; forward-only passes
         // (inference, validation) never touch them.
@@ -518,6 +658,9 @@ impl Tape {
             let node = &nodes[idx];
             if !node.needs_grad {
                 continue;
+            }
+            if let Some(t) = &mut self.tally {
+                t.visits[node.op.kind()] += 1;
             }
             // Inputs precede their node, so the node's own gradient and
             // its inputs' gradients sit on opposite sides of the split.
@@ -1187,6 +1330,37 @@ mod tests {
                 _ => {}
             }
         }
+    }
+
+    #[test]
+    fn op_tally_counts_nodes_visits_and_elements_per_kind() {
+        let mut store = ParamStore::new(6);
+        let ids = [store.add(4, 3)];
+        let kind = |name: &str| OP_KINDS.iter().position(|&k| k == name).unwrap();
+        let mut tape = Tape::new();
+        small_graph(&mut tape, &store, &ids);
+        assert!(tape.op_tally().is_none(), "unarmed tapes count nothing");
+        tape.count_ops();
+        for _ in 0..2 {
+            tape.reset();
+            let loss = small_graph(&mut tape, &store, &ids);
+            tape.backward(loss);
+        }
+        let t = tape.op_tally().unwrap();
+        // Per pass: leaves x (2x4) and w (4x3); matmul, tanh and mul_elem
+        // 2x3; mean_all 1x1. The input leaf needs no gradient.
+        assert_eq!(t.nodes[kind("leaf")], 4);
+        assert_eq!(t.elems[kind("leaf")], 2 * (8 + 12));
+        assert_eq!(t.visits[kind("leaf")], 2);
+        for k in ["matmul", "tanh", "mul_elem"] {
+            assert_eq!(
+                (t.nodes[kind(k)], t.visits[kind(k)], t.elems[kind(k)]),
+                (2, 2, 12),
+                "{k}"
+            );
+        }
+        assert_eq!(t.elems[kind("mean_all")], 2);
+        assert_eq!(t.nodes.iter().sum::<u64>(), 12);
     }
 
     #[test]

@@ -75,11 +75,37 @@ impl Trainer {
         targets: &[Vec<f64>],
         forward: impl Fn(&mut Tape, &ParamStore, &[f64]) -> TensorRef,
     ) -> Result<f64> {
-        let cfg = self.config;
         let n = inputs.len();
         if n == 0 || targets.len() != n {
             return Err(ModelError::InsufficientData("no training pairs"));
         }
+        // One tape serves every pass of the fit: `reset` keeps its buffers,
+        // so after the first step no forward or backward allocates.
+        let mut tape = Tape::new();
+        let mut clock = PhaseClock::new();
+        if clock.armed {
+            tape.count_ops();
+        }
+        let fitted = self.fit_on(&mut tape, &mut clock, store, inputs, targets, forward);
+        // Once per fit, like the phase clock's totals.
+        if let Some(tally) = tape.op_tally() {
+            tally.add_to_counters();
+        }
+        fitted
+    }
+
+    /// [`Trainer::fit`]'s loop on one tape and phase clock.
+    fn fit_on(
+        &self,
+        tape: &mut Tape,
+        clock: &mut PhaseClock,
+        store: &mut ParamStore,
+        inputs: &[Vec<f64>],
+        targets: &[Vec<f64>],
+        forward: impl Fn(&mut Tape, &ParamStore, &[f64]) -> TensorRef,
+    ) -> Result<f64> {
+        let cfg = self.config;
+        let n = inputs.len();
         // Chronological validation split: the most recent windows validate.
         let n_val = ((n as f64 * cfg.val_fraction) as usize).min(n - 1);
         let n_train = n - n_val;
@@ -91,10 +117,6 @@ impl Trainer {
         let mut stale = 0usize;
         let mut diverging = 0usize;
         let n_batches = n_train.div_ceil(cfg.batch_size.max(1)).max(1);
-        // One tape serves every pass of the fit: `reset` keeps its buffers,
-        // so after the first step no forward or backward allocates.
-        let mut tape = Tape::new();
-        let mut clock = PhaseClock::new();
         for epoch in 0..cfg.epochs.max(1) {
             let epoch_span = tfb_obs::span!("epoch");
             // Fisher-Yates shuffle.
@@ -107,7 +129,7 @@ impl Trainer {
                 for &i in batch {
                     tape.reset();
                     let start = clock.now();
-                    let pred = forward(&mut tape, store, &inputs[i]);
+                    let pred = forward(tape, store, &inputs[i]);
                     let (pr, pc) = tape.shape(pred);
                     debug_assert_eq!(pr * pc, targets[i].len(), "forward output shape");
                     let t = tape.input(&targets[i], pr, pc);
@@ -143,7 +165,7 @@ impl Trainer {
             let mut val_loss = 0.0;
             for i in eval_range {
                 tape.reset();
-                let pred = forward(&mut tape, store, &inputs[i]);
+                let pred = forward(tape, store, &inputs[i]);
                 let p = tape.value(pred);
                 let mse: f64 = p
                     .iter()
