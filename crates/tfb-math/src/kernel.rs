@@ -29,6 +29,7 @@
 //! record [`active_name`] in their run manifests so every benchmark
 //! number is attributable to the kernel path that produced it.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which kernel implementation the dispatchers run.
@@ -372,6 +373,10 @@ trait Lanes: Copy {
     unsafe fn store_masked(self, p: *mut f64, mask: Self::Mask);
     /// Every lane set to `*p`.
     unsafe fn splat(p: *const f64) -> Self;
+    /// Every lane `+0.0`.
+    unsafe fn zero() -> Self;
+    /// `self + other`, lane by lane.
+    unsafe fn add(self, other: Self) -> Self;
     unsafe fn zero_lanes(self) -> Self::Zero;
     /// `self + a·b`, rounded after the product and after the sum, as
     /// the reference rounds (never a fused multiply-add).
@@ -424,6 +429,16 @@ impl Lanes for Portable {
     #[inline(always)]
     unsafe fn splat(p: *const f64) -> Self {
         Portable([*p; 4])
+    }
+
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        Portable([0.0; 4])
+    }
+
+    #[inline(always)]
+    unsafe fn add(self, other: Self) -> Self {
+        Portable(std::array::from_fn(|l| self.0[l] + other.0[l]))
     }
 
     #[inline(always)]
@@ -604,7 +619,7 @@ unsafe fn gemm_tiled<L: Lanes>(
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{gemm_tiled, Lanes, Lhs};
+    use super::{gemm_tiled, segments_tiled, Lanes, Lhs, Segmented};
     use std::arch::x86_64::*;
 
     /// Four lanes in one AVX register.
@@ -646,6 +661,16 @@ mod avx2 {
         }
 
         #[inline(always)]
+        unsafe fn zero() -> Self {
+            Avx2(_mm256_setzero_pd())
+        }
+
+        #[inline(always)]
+        unsafe fn add(self, other: Self) -> Self {
+            Avx2(_mm256_add_pd(self.0, other.0))
+        }
+
+        #[inline(always)]
         unsafe fn zero_lanes(self) -> __m256d {
             _mm256_cmp_pd::<_CMP_EQ_OQ>(self.0, _mm256_setzero_pd())
         }
@@ -677,6 +702,17 @@ mod avx2 {
         out: &mut [f64],
     ) {
         gemm_tiled::<Avx2>(lhs, m, depth, rhs, n, out)
+    }
+
+    /// The segmented tiles on AVX2 lanes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2; the operands are as [`segments_tiled`]
+    /// requires.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gemm_tn_segments(s: Segmented) {
+        segments_tiled::<Avx2>(s)
     }
 }
 
@@ -746,6 +782,327 @@ fn product(lhs: Lhs, depth: usize, rhs: &[f64], n: usize, out: &mut [f64]) {
         #[cfg(not(target_arch = "x86_64"))]
         KernelPath::UnrolledAvx2 => unsafe { gemm_tiled::<Portable>(lhs, m, depth, rhs, n, out) },
     }
+}
+
+// ---------------------------------------------------------------------
+// Segmented reductions: one complete sum per segment of rows, each
+// formed from +0.0 and then added to its output, in segment order. A
+// weight gradient summed over a chunk of samples this way gets exactly
+// the additions it got when each sample's gradient was formed on its own
+// and then added to the parameter's.
+// ---------------------------------------------------------------------
+
+/// The operands of [`gemm_tn_segments`], checked.
+#[derive(Clone, Copy)]
+struct Segmented<'a> {
+    lhs: &'a [f64],
+    m: usize,
+    rhs: &'a [f64],
+    n: usize,
+    segments: &'a [Range<usize>],
+    out: *mut f64,
+    out_stride: usize,
+}
+
+/// The reference: for every segment, element and row, the plain loops.
+fn segments_scalar(s: Segmented) {
+    for (i, seg) in s.segments.iter().enumerate() {
+        for k in 0..s.m {
+            for j in 0..s.n {
+                let mut sum = 0.0;
+                for r in seg.clone() {
+                    let a = s.lhs[r * s.m + k];
+                    if a != 0.0 {
+                        sum += a * s.rhs[r * s.n + j];
+                    }
+                }
+                // SAFETY: `gemm_tn_segments` checked that every segment's
+                // output lies inside `out`.
+                unsafe { *s.out.add(i * s.out_stride + k * s.n + j) += sum }
+            }
+        }
+    }
+}
+
+/// One segment's `R` × `4·V` sum tile from `+0.0`: `a` points at the
+/// segment's first left-hand row at the tile's first output row, `b` at
+/// its first right-hand row at the tile's first column.
+///
+/// # Safety
+///
+/// As [`tile`]: `L`'s instruction set is available, `a` is valid for
+/// `rows` rows of stride `m` and `R` values, `b` for `rows` rows of
+/// stride `n` and the lanes `masks` select (all with `!TAIL`).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn segment_sum<
+    L: Lanes,
+    const R: usize,
+    const V: usize,
+    const SKIP: bool,
+    const TAIL: bool,
+>(
+    a: *const f64,
+    m: usize,
+    b: *const f64,
+    n: usize,
+    rows: usize,
+    masks: [L::Mask; V],
+) -> [[L; V]; R] {
+    let mut sum = [[L::zero(); V]; R];
+    for r in 0..rows {
+        let br: [L; V] = std::array::from_fn(|v| {
+            let at = b.add(r * n + 4 * v);
+            if TAIL {
+                L::load_masked(at, masks[v])
+            } else {
+                L::load(at)
+            }
+        });
+        for (i, sum_row) in sum.iter_mut().enumerate() {
+            let x = L::splat(a.add(r * m + i));
+            if SKIP {
+                let zero = x.zero_lanes();
+                for (o, &y) in sum_row.iter_mut().zip(&br) {
+                    *o = o.add_product_skipping(x, y, zero);
+                }
+            } else {
+                for (o, &y) in sum_row.iter_mut().zip(&br) {
+                    *o = o.add_product(x, y);
+                }
+            }
+        }
+    }
+    sum
+}
+
+/// Output rows `k0..k0 + R`, columns `j0..j0 + 4·V`, over every segment:
+/// with one shared output (`out_stride == 0`) the output tile stays in
+/// registers from the first segment to the last.
+///
+/// # Safety
+///
+/// As [`segment_sum`] for every segment, and `s.out` is valid for the
+/// tile of every segment's output.
+#[inline(always)]
+unsafe fn segment_tile<L: Lanes, const R: usize, const V: usize, const TAIL: bool>(
+    s: Segmented,
+    k0: usize,
+    j0: usize,
+    masks: [L::Mask; V],
+) {
+    let load = |at: *const f64, v: usize| {
+        if TAIL {
+            L::load_masked(at, masks[v])
+        } else {
+            L::load(at)
+        }
+    };
+    let store = |o: L, at: *mut f64, v: usize| {
+        if TAIL {
+            o.store_masked(at, masks[v])
+        } else {
+            o.store(at)
+        }
+    };
+    let c = s.out.add(k0 * s.n + j0);
+    let shared = s.out_stride == 0;
+    let mut acc: [[L; V]; R] = if shared {
+        std::array::from_fn(|i| std::array::from_fn(|v| load(c.add(i * s.n + 4 * v), v)))
+    } else {
+        [[L::zero(); V]; R]
+    };
+    for (g, seg) in s.segments.iter().enumerate() {
+        let a = s.lhs.as_ptr().add(seg.start * s.m + k0);
+        let b = s.rhs.as_ptr().add(seg.start * s.n + j0);
+        let rows = seg.len();
+        let has_zero = (0..rows).any(|r| s.lhs[(seg.start + r) * s.m + k0..][..R].contains(&0.0));
+        let sum = if has_zero {
+            segment_sum::<L, R, V, true, TAIL>(a, s.m, b, s.n, rows, masks)
+        } else {
+            segment_sum::<L, R, V, false, TAIL>(a, s.m, b, s.n, rows, masks)
+        };
+        let cg = c.add(g * s.out_stride);
+        for (i, (acc_row, sum_row)) in acc.iter_mut().zip(&sum).enumerate() {
+            for (v, (o, &x)) in acc_row.iter_mut().zip(sum_row).enumerate() {
+                if shared {
+                    *o = o.add(x);
+                } else {
+                    let at = cg.add(i * s.n + 4 * v);
+                    store(load(at, v).add(x), at, v);
+                }
+            }
+        }
+    }
+    if shared {
+        for (i, acc_row) in acc.iter().enumerate() {
+            for (v, &o) in acc_row.iter().enumerate() {
+                store(o, c.add(i * s.n + 4 * v), v);
+            }
+        }
+    }
+}
+
+/// Output rows `k0..k0 + R` over all `s.n` columns: 8-wide tiles, then
+/// one masked tile over the last `n % 8`.
+///
+/// # Safety
+///
+/// As [`segment_tile`] for every column.
+#[inline(always)]
+unsafe fn segment_rows<L: Lanes, const R: usize>(s: Segmented, k0: usize) {
+    let full = L::mask(4);
+    let mut j0 = 0;
+    while j0 + 8 <= s.n {
+        segment_tile::<L, R, 2, false>(s, k0, j0, [full; 2]);
+        j0 += 8;
+    }
+    let w = s.n - j0;
+    if w == 0 {
+        return;
+    }
+    let last = L::mask(w - (w - 1) / 4 * 4);
+    if w <= 4 {
+        segment_tile::<L, R, 1, true>(s, k0, j0, [last]);
+    } else {
+        segment_tile::<L, R, 2, true>(s, k0, j0, [full, last]);
+    }
+}
+
+/// [`gemm_tn_segments`] tile by tile: blocks of four output rows, the
+/// last 1–3 rows as one block.
+///
+/// # Safety
+///
+/// `L`'s instruction set is available; `gemm_tn_segments` checked the
+/// operands.
+#[inline(always)]
+unsafe fn segments_tiled<L: Lanes>(s: Segmented) {
+    let mut k0 = 0;
+    while k0 < s.m {
+        match (s.m - k0).min(4) {
+            4 => segment_rows::<L, 4>(s, k0),
+            3 => segment_rows::<L, 3>(s, k0),
+            2 => segment_rows::<L, 2>(s, k0),
+            _ => segment_rows::<L, 1>(s, k0),
+        }
+        k0 += 4;
+    }
+}
+
+/// For every segment `g` of rows, in order: `out_g += (+0.0 + Σ_{r ∈ g}
+/// lhs[r]ᵀ · rhs[r])`, where `lhs` is row-major with `m` columns, `rhs`
+/// with `n`, and `out_g` is the row-major `m × n` matrix at `out[g ·
+/// out_stride..]`. With `out_stride == 0` every segment adds into the
+/// same matrix. Within a segment, each element adds its terms in
+/// ascending row order and skips those whose left-hand value is `±0.0`,
+/// as [`gemm_tn`] does; the add of a segment's sum to its output is
+/// unconditional, also when the sum is `+0.0` (an empty segment, or one
+/// whose every term is skipped). Bit for bit, each segment's sum is
+/// [`gemm_tn`] into a zeroed matrix, added to `out_g`.
+pub fn gemm_tn_segments(
+    lhs: &[f64],
+    m: usize,
+    rhs: &[f64],
+    n: usize,
+    segments: &[Range<usize>],
+    out: &mut [f64],
+    out_stride: usize,
+) {
+    if m == 0 || n == 0 || segments.is_empty() {
+        return;
+    }
+    for seg in segments {
+        assert!(
+            seg.start <= seg.end && lhs.len() >= seg.end * m && rhs.len() >= seg.end * n,
+            "gemm_tn_segments operand shapes"
+        );
+    }
+    assert!(
+        out.len() >= (segments.len() - 1) * out_stride + m * n,
+        "gemm_tn_segments output shape"
+    );
+    let s = Segmented {
+        lhs,
+        m,
+        rhs,
+        n,
+        segments,
+        out: out.as_mut_ptr(),
+        out_stride,
+    };
+    match active() {
+        KernelPath::Scalar => segments_scalar(s),
+        // SAFETY: the asserts above bound every pointer a tile forms, and
+        // portable lanes need no CPU feature.
+        KernelPath::Unrolled => unsafe { segments_tiled::<Portable>(s) },
+        // SAFETY: as above; `force` selects the AVX2 path only where
+        // `best_unrolled` detected AVX2.
+        #[cfg(target_arch = "x86_64")]
+        KernelPath::UnrolledAvx2 => unsafe { avx2::gemm_tn_segments(s) },
+        // SAFETY: as for `Unrolled`.
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelPath::UnrolledAvx2 => unsafe { segments_tiled::<Portable>(s) },
+    }
+}
+
+/// For every segment `g` of rows, in order: `out_g[j] += (+0.0 + Σ_{r ∈
+/// g} term(r, j))` over the `n` columns, where `out_g` is `out[g ·
+/// out_stride..][..n]`. The add is unconditional, as in
+/// [`gemm_tn_segments`].
+#[inline(always)]
+fn col_segments(
+    n: usize,
+    segments: &[Range<usize>],
+    out: &mut [f64],
+    out_stride: usize,
+    term: impl Fn(usize, usize) -> f64,
+) {
+    const W: usize = 8;
+    for (g, seg) in segments.iter().enumerate() {
+        let out_g = &mut out[g * out_stride..][..n];
+        for (c, out_c) in out_g.chunks_mut(W).enumerate() {
+            let mut sum = [0.0; W];
+            for r in seg.clone() {
+                for (l, s) in sum.iter_mut().enumerate().take(out_c.len()) {
+                    *s += term(r, c * W + l);
+                }
+            }
+            for (o, s) in out_c.iter_mut().zip(sum) {
+                *o += s;
+            }
+        }
+    }
+}
+
+/// Segmented column sums: for every segment `g` of rows of the row-major
+/// `x` (`n` columns), in order, `out_g[j] += (+0.0 + Σ_{r ∈ g} x[r][j])`,
+/// with `out_g` at `out[g · out_stride..]` (one shared row when
+/// `out_stride == 0`). The gradient of a broadcast bias.
+pub fn col_sum_segments(
+    x: &[f64],
+    n: usize,
+    segments: &[Range<usize>],
+    out: &mut [f64],
+    out_stride: usize,
+) {
+    col_segments(n, segments, out, out_stride, |r, j| x[r * n + j])
+}
+
+/// [`col_sum_segments`] of the elementwise product of `x` and `y`:
+/// `out_g[j] += (+0.0 + Σ_{r ∈ g} x[r][j] · y[r][j])`, each product
+/// rounded before its add. The gradient of a broadcast gain.
+pub fn col_dot_segments(
+    x: &[f64],
+    y: &[f64],
+    n: usize,
+    segments: &[Range<usize>],
+    out: &mut [f64],
+    out_stride: usize,
+) {
+    col_segments(n, segments, out, out_stride, |r, j| {
+        x[r * n + j] * y[r * n + j]
+    })
 }
 
 /// Runs `f` with the kernel path forced to `path`, restoring the prior

@@ -541,6 +541,26 @@ pub fn gemm_tn_acc(
     kernel::gemm_tn(lhs, depth, rhs, out_cols, out);
 }
 
+/// [`kernel::gemm_tn_segments`] counted as one product over all the
+/// segments' rows, with the flops a [`gemm_tn_acc`] per segment would
+/// count: for every segment `g` of rows, in order, `out_g += (+0.0 +
+/// lhs[g]ᵀ · rhs[g])`. Weight gradients leave the autodiff tape this
+/// way, one segment per sample.
+pub fn gemm_tn_segments(
+    lhs: &[f64],
+    m: usize,
+    rhs: &[f64],
+    n: usize,
+    segments: &[std::ops::Range<usize>],
+    out: &mut [f64],
+    out_stride: usize,
+) {
+    let rows: usize = segments.iter().map(|g| g.len()).sum();
+    tfb_obs::counter!("gemm/calls").add(1);
+    tfb_obs::counter!("gemm/flops_est").add(2 * (rows * m * n) as u64);
+    kernel::gemm_tn_segments(lhs, m, rhs, n, segments, out, out_stride);
+}
+
 /// Dot-product kernel over a pre-transposed right operand (`bt` is
 /// `n` × `depth` row-major). Used for deep single-column products where
 /// the blocked kernel has no output row to vectorize over. Accumulation

@@ -275,8 +275,7 @@ mod tests {
         let mut adam = crate::optim::Adam::new(0.01);
         for _ in 0..20 {
             let (mut tape, loss) = eval(&store);
-            tape.backward(loss);
-            tape.param_grads(&mut store);
+            tape.backward(loss, &mut store);
             adam.step(&mut store);
         }
         let (tape2, loss2) = eval(&store);

@@ -28,12 +28,11 @@
 //! full multivariate windows.
 
 use crate::blocks::{
-    decompose, dft_features, legendre_features, revin_denormalize, revin_normalize, EncoderLayer,
-    Linear, Mlp,
+    decompose, dft_features, legendre_features, revin_normalize, EncoderLayer, Linear, Mlp,
 };
 use crate::optim::{ParamId, ParamStore};
 use crate::tape::{Tape, TensorRef};
-use crate::train::{TrainConfig, Trainer};
+use crate::train::{TrainConfig, Trainer, CHUNK};
 use tfb_data::MultiSeries;
 use tfb_math::matrix::Matrix;
 use tfb_models::{ModelError, Result, WindowForecaster};
@@ -467,13 +466,13 @@ impl DeepModel {
         self.kind
     }
 
-    /// Forward pass for one (preprocessed) input vector.
+    /// Forward pass over a chunk of (preprocessed) input vectors, stacked.
     ///
-    /// Channel-independent models receive a single channel's window
-    /// (`len == lookback`) and return `1 x horizon`; the cross-channel
-    /// model receives a time-major multivariate window and returns
-    /// `1 x horizon * dim` (time-major).
-    pub(crate) fn forward(&self, tape: &mut Tape, input: &[f64]) -> TensorRef {
+    /// Channel-independent models receive single-channel windows (each
+    /// `lookback` long) and return one `1 x horizon` block per window; the
+    /// cross-channel model receives time-major multivariate windows and
+    /// returns one `1 x horizon * dim` block (time-major) per window.
+    fn forward(&self, tape: &mut Tape, input: &[f64]) -> TensorRef {
         run_forward(
             &self.arch,
             self.lookback,
@@ -486,8 +485,20 @@ impl DeepModel {
     }
 }
 
+/// `f` of every `len`-value sample of the stacked chunk `input`, its
+/// outputs stacked in sample order.
+fn per_sample(input: &[f64], len: usize, mut f: impl FnMut(&[f64], &mut Vec<f64>)) -> Vec<f64> {
+    let mut out = Vec::with_capacity(input.len());
+    for w in input.chunks_exact(len) {
+        f(w, &mut out);
+    }
+    out
+}
+
 /// Architecture forward pass, store passed explicitly so the trainer can
-/// hold the mutable store between passes.
+/// hold the mutable store between passes. `input` stacks a chunk of
+/// samples; the graph is written for one and the tape runs it on every
+/// block (see [`Tape`]).
 fn run_forward(
     arch: &Arch,
     l: usize,
@@ -497,272 +508,71 @@ fn run_forward(
     store: &ParamStore,
     input: &[f64],
 ) -> TensorRef {
-    {
-        match arch {
-            Arch::NLinear { head } => {
-                let x = tape.input(input, 1, l);
-                head.forward(tape, store, x)
-            }
-            Arch::DLinear {
-                trend_head,
-                seasonal_head,
-                kernel,
-            } => {
-                let (trend, seasonal) = decompose(input, *kernel);
-                let xt = tape.input(&trend, 1, l);
-                let xs = tape.input(&seasonal, 1, l);
-                let yt = trend_head.forward(tape, store, xt);
-                let ys = seasonal_head.forward(tape, store, xs);
-                tape.add(yt, ys)
-            }
-            Arch::PatchLike {
-                embed,
-                pos,
-                enc1,
-                enc2,
-                pool,
-                head,
-                patch,
-                tokens,
-                ..
-            } => {
-                // Right-align the window into whole patches (pad by
-                // repeating the first value when l % patch != 0).
-                let mut padded = Vec::with_capacity(tokens * patch);
-                let missing = tokens * patch - l;
-                padded.extend(std::iter::repeat_n(input[0], missing));
-                padded.extend_from_slice(input);
-                let x = tape.input(&padded, *tokens, *patch);
-                let emb = embed.forward(tape, store, x);
-                let pos_t = tape.param(store, *pos);
-                let mut h = tape.add(emb, pos_t);
-                h = enc1.forward(tape, store, h);
-                if *pool > 1 {
-                    h = tape.avg_pool_rows(h, *pool);
-                }
-                if let Some(enc2) = enc2 {
-                    h = enc2.forward(tape, store, h);
-                }
-                let (hr, hc) = tape.shape(h);
-                let flat = tape.reshape(h, 1, hr * hc);
-                head.forward(tape, store, flat)
-            }
-            Arch::Crossformer { embed, enc, head } => {
-                // input is time-major (l, dim): transpose to channel tokens.
-                let x = tape.input(input, l, dim);
-                let xt = tape.transpose(x); // (dim, l)
-                let emb = embed.forward(tape, store, xt); // (dim, d)
-                let h = enc.forward(tape, store, emb);
-                let y = head.forward(tape, store, h); // (dim, f)
-                                                      // Back to time-major 1 x (f * dim).
-                let yt = tape.transpose(y); // (f, dim)
-                tape.reshape(yt, 1, f * dim)
-            }
-            Arch::FedFormer {
-                freq_mlp,
-                trend_head,
-                modes,
-                kernel,
-            } => {
-                let (trend, seasonal) = decompose(input, *kernel);
-                let freq = dft_features(&seasonal, *modes);
-                let xf = tape.input(&freq, 1, 2 * modes);
-                let ys = freq_mlp.forward(tape, store, xf);
-                let xt = tape.input(&trend, 1, l);
-                let yt = trend_head.forward(tape, store, xt);
-                tape.add(ys, yt)
-            }
-            Arch::Tide {
-                skip,
-                encoder,
-                decoder,
-            } => {
-                let x = tape.input(input, 1, l);
-                let lin = skip.forward(tape, store, x);
-                let h = encoder.forward(tape, store, x);
-                let h = tape.relu(h);
-                let dec = decoder.forward(tape, store, h);
-                tape.add(lin, dec)
-            }
-            Arch::Beats { blocks } => {
-                let mut residual = tape.input(input, 1, l);
-                let mut forecast: Option<TensorRef> = None;
-                for (mlp, backcast, fcast, stride) in blocks {
-                    let block_in = if *stride > 1 {
-                        let as_rows = tape.reshape(residual, l, 1);
-                        let pooled = tape.avg_pool_rows(as_rows, *stride);
-                        let (pr, _) = tape.shape(pooled);
-                        tape.reshape(pooled, 1, pr)
-                    } else {
-                        residual
-                    };
-                    let h = mlp.forward(tape, store, block_in);
-                    let h = tape.relu(h);
-                    let b = backcast.forward(tape, store, h);
-                    let fo = fcast.forward(tape, store, h);
-                    residual = tape.sub(residual, b);
-                    forecast = Some(match forecast {
-                        None => fo,
-                        Some(acc) => tape.add(acc, fo),
-                    });
-                }
-                forecast.expect("at least one block")
-            }
-            Arch::TimesNet {
-                row_mix,
-                col_mix,
-                head,
-                period,
-                rows,
-            } => {
-                // Fold the most recent rows*period values into 2-D.
-                let take = rows * period;
-                let tail = &input[l - take..];
-                let x = tape.input(tail, *rows, *period);
-                let a = tape.param(store, *row_mix);
-                let b = tape.param(store, *col_mix);
-                let ax = tape.matmul(a, x);
-                let axb = tape.matmul(ax, b);
-                let mixed = tape.relu(axb);
-                // Residual connection keeps the identity path.
-                let res = tape.add(mixed, x);
-                let flat = tape.reshape(res, 1, take);
-                head.forward(tape, store, flat)
-            }
-            Arch::Micn {
-                convs,
-                head,
-                channels,
-            } => {
-                let x = tape.input(input, l, 1);
-                let mut feats: Option<TensorRef> = None;
-                for (w, kernel) in convs {
-                    let wt = tape.param(store, *w);
-                    let c = tape.causal_conv1d(x, wt, *kernel, 1);
-                    let c = tape.relu(c);
-                    // Global average over time -> 1 x channels.
-                    let pooled = tape.avg_pool_rows(c, l);
-                    let pooled = tape.reshape(pooled, 1, *channels);
-                    feats = Some(match feats {
-                        None => pooled,
-                        Some(acc) => tape.concat_cols(acc, pooled),
-                    });
-                }
-                // Keep the most recent raw values as local context.
-                let recent_n = l.min(16);
-                let recent = tape.input(&input[l - recent_n..], 1, recent_n);
-                let all = tape.concat_cols(feats.expect("branches"), recent);
-                head.forward(tape, store, all)
-            }
-            Arch::Tcn {
-                convs,
-                head,
-                channels,
-            } => {
-                let mut h = tape.input(input, l, 1);
-                for (w, kernel, dilation) in convs {
-                    let wt = tape.param(store, *w);
-                    h = tape.causal_conv1d(h, wt, *kernel, *dilation);
-                    h = tape.relu(h);
-                }
-                // Select the final timestep's features via a selector row.
-                let mut sel = vec![0.0; l];
-                sel[l - 1] = 1.0;
-                let s = tape.input(&sel, 1, l);
-                let last = tape.matmul(s, h); // 1 x channels
-                let last = tape.reshape(last, 1, *channels);
-                head.forward(tape, store, last)
-            }
-            Arch::Gru {
-                wz,
-                wr,
-                wh,
-                head,
-                hidden,
-                steps,
-                stride,
-            } => {
-                // Downsample the window to `steps` inputs.
-                let mut h = tape.input(&vec![0.0; *hidden], 1, *hidden);
-                for s in 0..*steps {
-                    let start = s * stride;
-                    let end = ((s + 1) * stride).min(l);
-                    if start >= end {
-                        break;
-                    }
-                    let xval = input[start..end].iter().sum::<f64>() / (end - start) as f64;
-                    let xt = tape.input(&[xval], 1, 1);
-                    let hx = tape.concat_cols(h, xt);
-                    let z = wz.forward(tape, store, hx);
-                    let z = tape.sigmoid(z);
-                    let r = wr.forward(tape, store, hx);
-                    let r = tape.sigmoid(r);
-                    let rh = tape.mul_elem(r, h);
-                    let rhx = tape.concat_cols(rh, xt);
-                    let cand = wh.forward(tape, store, rhx);
-                    let cand = tape.tanh(cand);
-                    // h = (1 - z) * h + z * cand = h + z * (cand - h)
-                    let diff = tape.sub(cand, h);
-                    let upd = tape.mul_elem(z, diff);
-                    h = tape.add(h, upd);
-                }
-                head.forward(tape, store, h)
-            }
-            Arch::Film { mlp, k, modes } => {
-                let mut feats = legendre_features(input, *k);
-                feats.extend(dft_features(input, *modes));
-                let x = tape.input(&feats, 1, k + 2 * modes);
-                mlp.forward(tape, store, x)
-            }
-            Arch::Mlp { mlp } => {
-                let x = tape.input(input, 1, l);
-                mlp.forward(tape, store, x)
-            }
-        }
-    }
-}
-
-/// Batched forward for the pure row-map architectures.
-///
-/// Every row of `inputs` is one preprocessed channel window; row `r` of the
-/// output is bit-identical to running [`run_forward`] on row `r` alone,
-/// because every tape op these graphs use (matmul against shared weights
-/// with ascending-`k` accumulation, row-broadcast bias, elementwise
-/// add/sub/relu) treats rows independently in the same per-element order.
-/// Returns `None` for architectures whose graphs are not a row map (patch
-/// token layouts, attention, convolution stacks, recurrences, pooled
-/// N-HiTS blocks) — those keep per-window inference.
-fn run_forward_batch(
-    arch: &Arch,
-    l: usize,
-    tape: &mut Tape,
-    store: &ParamStore,
-    inputs: Vec<f64>,
-) -> Option<TensorRef> {
-    debug_assert_eq!(inputs.len() % l.max(1), 0);
-    let b = inputs.len() / l.max(1);
     match arch {
         Arch::NLinear { head } => {
-            let x = tape.input_owned(inputs, b, l);
-            Some(head.forward(tape, store, x))
+            let x = tape.input(input, 1, l);
+            head.forward(tape, store, x)
         }
         Arch::DLinear {
             trend_head,
             seasonal_head,
             kernel,
         } => {
-            let mut trends = Vec::with_capacity(b * l);
-            let mut seasonals = Vec::with_capacity(b * l);
-            for w in inputs.chunks_exact(l) {
+            let mut seasonal = Vec::with_capacity(input.len());
+            let trend = per_sample(input, l, |w, out| {
                 let (t, s) = decompose(w, *kernel);
-                trends.extend_from_slice(&t);
-                seasonals.extend_from_slice(&s);
-            }
-            let xt = tape.input_owned(trends, b, l);
-            let xs = tape.input_owned(seasonals, b, l);
+                out.extend(t);
+                seasonal.extend(s);
+            });
+            let xt = tape.input(&trend, 1, l);
+            let xs = tape.input(&seasonal, 1, l);
             let yt = trend_head.forward(tape, store, xt);
             let ys = seasonal_head.forward(tape, store, xs);
-            Some(tape.add(yt, ys))
+            tape.add(yt, ys)
+        }
+        Arch::PatchLike {
+            embed,
+            pos,
+            enc1,
+            enc2,
+            pool,
+            head,
+            patch,
+            tokens,
+            ..
+        } => {
+            // Right-align the window into whole patches (pad by
+            // repeating the first value when l % patch != 0).
+            let missing = tokens * patch - l;
+            let padded = per_sample(input, l, |w, out| {
+                out.extend(std::iter::repeat_n(w[0], missing));
+                out.extend_from_slice(w);
+            });
+            let x = tape.input(&padded, *tokens, *patch);
+            let emb = embed.forward(tape, store, x);
+            let pos_t = tape.param(store, *pos);
+            let mut h = tape.add(emb, pos_t);
+            h = enc1.forward(tape, store, h);
+            if *pool > 1 {
+                h = tape.avg_pool_rows(h, *pool);
+            }
+            if let Some(enc2) = enc2 {
+                h = enc2.forward(tape, store, h);
+            }
+            let (hr, hc) = tape.shape(h);
+            let flat = tape.reshape(h, 1, hr * hc);
+            head.forward(tape, store, flat)
+        }
+        Arch::Crossformer { embed, enc, head } => {
+            // input is time-major (l, dim): transpose to channel tokens.
+            let x = tape.input(input, l, dim);
+            let xt = tape.transpose(x); // (dim, l)
+            let emb = embed.forward(tape, store, xt); // (dim, d)
+            let h = enc.forward(tape, store, emb);
+            let y = head.forward(tape, store, h); // (dim, f)
+                                                  // Back to time-major 1 x (f * dim).
+            let yt = tape.transpose(y); // (f, dim)
+            tape.reshape(yt, 1, f * dim)
         }
         Arch::FedFormer {
             freq_mlp,
@@ -770,61 +580,171 @@ fn run_forward_batch(
             modes,
             kernel,
         } => {
-            let mut freqs = Vec::with_capacity(b * 2 * modes);
-            let mut trends = Vec::with_capacity(b * l);
-            for w in inputs.chunks_exact(l) {
+            let mut trend = Vec::with_capacity(input.len());
+            let freq = per_sample(input, l, |w, out| {
                 let (t, s) = decompose(w, *kernel);
-                freqs.extend(dft_features(&s, *modes));
-                trends.extend_from_slice(&t);
-            }
-            let xf = tape.input_owned(freqs, b, 2 * modes);
+                out.extend(dft_features(&s, *modes));
+                trend.extend(t);
+            });
+            let xf = tape.input(&freq, 1, 2 * modes);
             let ys = freq_mlp.forward(tape, store, xf);
-            let xt = tape.input_owned(trends, b, l);
+            let xt = tape.input(&trend, 1, l);
             let yt = trend_head.forward(tape, store, xt);
-            Some(tape.add(ys, yt))
+            tape.add(ys, yt)
         }
         Arch::Tide {
             skip,
             encoder,
             decoder,
         } => {
-            let x = tape.input_owned(inputs, b, l);
+            let x = tape.input(input, 1, l);
             let lin = skip.forward(tape, store, x);
             let h = encoder.forward(tape, store, x);
             let h = tape.relu(h);
             let dec = decoder.forward(tape, store, h);
-            Some(tape.add(lin, dec))
+            tape.add(lin, dec)
         }
-        Arch::Beats { blocks } if blocks.iter().all(|(_, _, _, stride)| *stride == 1) => {
-            let mut residual = tape.input_owned(inputs, b, l);
+        Arch::Beats { blocks } => {
+            let mut residual = tape.input(input, 1, l);
             let mut forecast: Option<TensorRef> = None;
-            for (mlp, backcast, fcast, _) in blocks {
-                let h = mlp.forward(tape, store, residual);
+            for (mlp, backcast, fcast, stride) in blocks {
+                let block_in = if *stride > 1 {
+                    let as_rows = tape.reshape(residual, l, 1);
+                    let pooled = tape.avg_pool_rows(as_rows, *stride);
+                    let (pr, _) = tape.shape(pooled);
+                    tape.reshape(pooled, 1, pr)
+                } else {
+                    residual
+                };
+                let h = mlp.forward(tape, store, block_in);
                 let h = tape.relu(h);
-                let bk = backcast.forward(tape, store, h);
+                let b = backcast.forward(tape, store, h);
                 let fo = fcast.forward(tape, store, h);
-                residual = tape.sub(residual, bk);
+                residual = tape.sub(residual, b);
                 forecast = Some(match forecast {
                     None => fo,
                     Some(acc) => tape.add(acc, fo),
                 });
             }
-            forecast
+            forecast.expect("at least one block")
+        }
+        Arch::TimesNet {
+            row_mix,
+            col_mix,
+            head,
+            period,
+            rows,
+        } => {
+            // Fold the most recent rows*period values into 2-D.
+            let take = rows * period;
+            let tails = per_sample(input, l, |w, out| out.extend_from_slice(&w[l - take..]));
+            let x = tape.input(&tails, *rows, *period);
+            let a = tape.param(store, *row_mix);
+            let b = tape.param(store, *col_mix);
+            let ax = tape.matmul(a, x);
+            let axb = tape.matmul(ax, b);
+            let mixed = tape.relu(axb);
+            // Residual connection keeps the identity path.
+            let res = tape.add(mixed, x);
+            let flat = tape.reshape(res, 1, take);
+            head.forward(tape, store, flat)
+        }
+        Arch::Micn {
+            convs,
+            head,
+            channels,
+        } => {
+            let x = tape.input(input, l, 1);
+            let mut feats: Option<TensorRef> = None;
+            for (w, kernel) in convs {
+                let wt = tape.param(store, *w);
+                let c = tape.causal_conv1d(x, wt, *kernel, 1);
+                let c = tape.relu(c);
+                // Global average over time -> 1 x channels.
+                let pooled = tape.avg_pool_rows(c, l);
+                let pooled = tape.reshape(pooled, 1, *channels);
+                feats = Some(match feats {
+                    None => pooled,
+                    Some(acc) => tape.concat_cols(acc, pooled),
+                });
+            }
+            // Keep the most recent raw values as local context.
+            let recent_n = l.min(16);
+            let recent = per_sample(input, l, |w, out| out.extend_from_slice(&w[l - recent_n..]));
+            let recent = tape.input(&recent, 1, recent_n);
+            let all = tape.concat_cols(feats.expect("branches"), recent);
+            head.forward(tape, store, all)
+        }
+        Arch::Tcn {
+            convs,
+            head,
+            channels,
+        } => {
+            let mut h = tape.input(input, l, 1);
+            for (w, kernel, dilation) in convs {
+                let wt = tape.param(store, *w);
+                h = tape.causal_conv1d(h, wt, *kernel, *dilation);
+                h = tape.relu(h);
+            }
+            // Select the final timestep's features via a selector row,
+            // one block that every sample shares.
+            let mut sel = vec![0.0; l];
+            sel[l - 1] = 1.0;
+            let s = tape.input(&sel, 1, l);
+            let last = tape.matmul(s, h); // 1 x channels
+            let last = tape.reshape(last, 1, *channels);
+            head.forward(tape, store, last)
+        }
+        Arch::Gru {
+            wz,
+            wr,
+            wh,
+            head,
+            hidden,
+            steps,
+            stride,
+        } => {
+            // Downsample the window to `steps` inputs.
+            let samples = input.len() / l;
+            let mut h = tape.input(&vec![0.0; samples * hidden], 1, *hidden);
+            for s in 0..*steps {
+                let start = s * stride;
+                let end = ((s + 1) * stride).min(l);
+                if start >= end {
+                    break;
+                }
+                let xval = per_sample(input, l, |w, out| {
+                    out.push(w[start..end].iter().sum::<f64>() / (end - start) as f64)
+                });
+                let xt = tape.input(&xval, 1, 1);
+                let hx = tape.concat_cols(h, xt);
+                let z = wz.forward(tape, store, hx);
+                let z = tape.sigmoid(z);
+                let r = wr.forward(tape, store, hx);
+                let r = tape.sigmoid(r);
+                let rh = tape.mul_elem(r, h);
+                let rhx = tape.concat_cols(rh, xt);
+                let cand = wh.forward(tape, store, rhx);
+                let cand = tape.tanh(cand);
+                // h = (1 - z) * h + z * cand = h + z * (cand - h)
+                let diff = tape.sub(cand, h);
+                let upd = tape.mul_elem(z, diff);
+                h = tape.add(h, upd);
+            }
+            head.forward(tape, store, h)
         }
         Arch::Film { mlp, k, modes } => {
-            let mut feats = Vec::with_capacity(b * (k + 2 * modes));
-            for w in inputs.chunks_exact(l) {
-                feats.extend(legendre_features(w, *k));
-                feats.extend(dft_features(w, *modes));
-            }
-            let x = tape.input_owned(feats, b, k + 2 * modes);
-            Some(mlp.forward(tape, store, x))
+            let feats = per_sample(input, l, |w, out| {
+                out.extend(legendre_features(w, *k));
+                out.extend(dft_features(w, *modes));
+            });
+            let x = tape.input(&feats, 1, k + 2 * modes);
+            mlp.forward(tape, store, x)
         }
         Arch::Mlp { mlp } => {
-            let x = tape.input_owned(inputs, b, l);
-            Some(mlp.forward(tape, store, x))
+            let x = tape.input(input, 1, l);
+            mlp.forward(tape, store, x)
         }
-        _ => None,
     }
 }
 
@@ -910,63 +830,72 @@ impl DeepModel {
         Ok((inputs, targets))
     }
 
-    /// [`WindowForecaster::predict`] on the caller's tape, reset before
-    /// every forward, so one tape serves every channel of the window and
-    /// every window of a batch.
-    fn predict_on(&self, tape: &mut Tape, window: &[f64], dim: usize) -> Result<Vec<f64>> {
-        if !self.trained {
-            return Err(ModelError::NotTrained);
+    /// Maps a model output back to the data's scale.
+    fn denormalize(&self, v: f64, mean: f64, std: f64) -> f64 {
+        match self.preprocess {
+            Preprocess::None => v,
+            Preprocess::RevIn => v * std + mean,
+            Preprocess::LastValue => v + mean,
         }
+    }
+
+    /// Forecasts every row of `windows` (already checked: `lookback ×
+    /// dim`, time-major) on blocked graphs of up to [`CHUNK`]
+    /// blocks: one block per window for the cross-channel model, one per
+    /// (window, channel) pair otherwise. Every block is preprocessed and
+    /// denormalized exactly as a lone window is, and its forward is the
+    /// one-sample graph's, so the forecasts do not depend on the batch.
+    fn forecast(&self, windows: &Matrix, dim: usize) -> Matrix {
         let l = self.lookback;
         let f = self.horizon;
-        if self.kind.is_cross_channel() {
-            if dim != self.dim {
-                return Err(ModelError::InvalidParameter("dim differs from training"));
-            }
-            // RevIN per channel on the multivariate window.
-            let mut inp = vec![0.0; l * dim];
-            let mut stats = Vec::with_capacity(dim);
+        let n = windows.rows();
+        let cross = self.kind.is_cross_channel();
+        let mut inputs = Vec::with_capacity(n * l * dim);
+        let mut stats = Vec::with_capacity(n * dim);
+        for r in 0..n {
+            let w = windows.row(r);
+            let start = inputs.len();
             for c in 0..dim {
-                let ch: Vec<f64> = (0..l).map(|t| window[t * dim + c]).collect();
-                let (n, mean, std) = self.preprocess_input(&ch);
-                for t in 0..l {
-                    inp[t * dim + c] = n[t];
+                let ch: Vec<f64> = (0..l).map(|t| w[t * dim + c]).collect();
+                let (normed, mean, std) = self.preprocess_input(&ch);
+                if cross {
+                    // RevIN per channel, back into the time-major window.
+                    inputs.resize(start + l * dim, 0.0);
+                    for (t, v) in normed.into_iter().enumerate() {
+                        inputs[start + t * dim + c] = v;
+                    }
+                } else {
+                    inputs.extend(normed);
                 }
                 stats.push((mean, std));
             }
-            tape.reset();
-            let out = self.forward(tape, &inp);
-            let mut y = tape.value(out).to_vec();
-            for (i, v) in y.iter_mut().enumerate() {
-                let (mean, std) = stats[i % dim];
-                *v = *v * std + mean;
-            }
-            debug_assert_eq!(y.len(), f * dim);
-            Ok(y)
-        } else {
-            let channels = tfb_models::window_channels(window, dim);
-            let mut per_channel = Vec::with_capacity(dim);
-            for ch in &channels {
-                if ch.len() != l {
-                    return Err(ModelError::InvalidParameter("window length != lookback"));
-                }
-                let (inp, mean, std) = self.preprocess_input(ch);
-                tape.reset();
-                let out = self.forward(tape, &inp);
-                let mut y = tape.value(out).to_vec();
-                match self.preprocess {
-                    Preprocess::None => {}
-                    Preprocess::RevIn => revin_denormalize(&mut y, mean, std),
-                    Preprocess::LastValue => {
-                        for v in y.iter_mut() {
-                            *v += mean;
-                        }
-                    }
-                }
-                per_channel.push(y);
-            }
-            Ok(tfb_models::interleave_channels(&per_channel))
         }
+        let block = if cross { l * dim } else { l };
+        let mut y = Vec::with_capacity(n * f * dim);
+        let mut tape = Tape::new();
+        for part in inputs.chunks(CHUNK * block) {
+            tape.reset();
+            let out = self.forward(&mut tape, part);
+            y.extend_from_slice(tape.value(out));
+        }
+        debug_assert_eq!(y.len(), n * f * dim);
+        let mut out = Matrix::zeros(n, f * dim);
+        for r in 0..n {
+            for c in 0..dim {
+                let (mean, std) = stats[r * dim + c];
+                for h in 0..f {
+                    // Cross-channel blocks are time-major (f, dim); the
+                    // others one channel's horizon each.
+                    let v = if cross {
+                        y[r * f * dim + h * dim + c]
+                    } else {
+                        y[(r * dim + c) * f + h]
+                    };
+                    out[(r, h * dim + c)] = self.denormalize(v, mean, std);
+                }
+            }
+        }
+        out
     }
 }
 
@@ -1053,69 +982,33 @@ impl WindowForecaster for DeepModel {
     }
 
     fn predict(&self, window: &[f64], dim: usize) -> Result<Vec<f64>> {
-        self.predict_on(&mut Tape::new(), window, dim)
+        if !self.trained {
+            return Err(ModelError::NotTrained);
+        }
+        if self.kind.is_cross_channel() && dim != self.dim {
+            return Err(ModelError::InvalidParameter("dim differs from training"));
+        }
+        if dim == 0 || window.len() != self.lookback * dim {
+            return Err(ModelError::InvalidParameter("window length != lookback"));
+        }
+        let windows = Matrix::from_vec(1, window.len(), window.to_vec())
+            .expect("one row of the window's length");
+        Ok(self.forecast(&windows, dim).data().to_vec())
     }
 
-    /// Batches all windows (and channels) through a single tape when the
-    /// architecture is a pure row map; other architectures fall back to
-    /// per-window [`predict`] on one reused tape. Either way the results
-    /// are bit-identical to per-window inference.
+    /// Runs all windows (and channels) through blocked graphs, for every
+    /// architecture; bit-identical to per-window [`predict`].
     fn predict_batch(&self, windows: &Matrix, dim: usize) -> Result<Matrix> {
         if !self.trained {
             return Err(ModelError::NotTrained);
         }
-        let l = self.lookback;
-        let f = self.horizon;
-        if dim == 0 || windows.cols() != l * dim {
+        if dim == 0 || windows.cols() != self.lookback * dim {
             return Err(ModelError::InvalidParameter("window length != lookback"));
         }
-        let n = windows.rows();
-        let fallback = || -> Result<Matrix> {
-            let mut out = Matrix::zeros(n, f * dim);
-            let mut tape = Tape::new();
-            for r in 0..n {
-                let y = self.predict_on(&mut tape, windows.row(r), dim)?;
-                out.data_mut()[r * f * dim..(r + 1) * f * dim].copy_from_slice(&y);
-            }
-            Ok(out)
-        };
-        if self.kind.is_cross_channel() || n == 0 {
-            return fallback();
+        if self.kind.is_cross_channel() && dim != self.dim {
+            return Err(ModelError::InvalidParameter("dim differs from training"));
         }
-        // Channel-independent: each (window, channel) pair becomes one
-        // batch row, preprocessed exactly as predict() would.
-        let mut inputs = Vec::with_capacity(n * dim * l);
-        let mut stats = Vec::with_capacity(n * dim);
-        for r in 0..n {
-            let w = windows.row(r);
-            for c in 0..dim {
-                let ch: Vec<f64> = (0..l).map(|t| w[t * dim + c]).collect();
-                let (inp, mean, std) = self.preprocess_input(&ch);
-                inputs.extend_from_slice(&inp);
-                stats.push((mean, std));
-            }
-        }
-        let mut tape = Tape::new();
-        let Some(out_t) = run_forward_batch(&self.arch, l, &mut tape, &self.store, inputs) else {
-            return fallback();
-        };
-        let y = tape.value(out_t);
-        debug_assert_eq!(y.len(), n * dim * f);
-        let mut out = Matrix::zeros(n, f * dim);
-        for r in 0..n {
-            for c in 0..dim {
-                let (mean, std) = stats[r * dim + c];
-                let row = &y[(r * dim + c) * f..(r * dim + c + 1) * f];
-                for (h, &v) in row.iter().enumerate() {
-                    out[(r, h * dim + c)] = match self.preprocess {
-                        Preprocess::None => v,
-                        Preprocess::RevIn => v * std + mean,
-                        Preprocess::LastValue => v + mean,
-                    };
-                }
-            }
-        }
-        Ok(out)
+        Ok(self.forecast(windows, dim))
     }
 
     fn parameter_count(&self) -> usize {
@@ -1238,8 +1131,8 @@ mod tests {
 
     #[test]
     fn batched_prediction_is_bit_identical_to_per_window() {
-        // Covers every batched graph plus one per-window fallback (N-HiTS
-        // pools between blocks, so it keeps single-window inference).
+        // Row-map graphs plus N-HiTS, which pools between blocks; every
+        // kind's batch runs on blocked graphs.
         let kinds = [
             DeepModelKind::NLinear,
             DeepModelKind::DLinear,
@@ -1332,8 +1225,7 @@ mod tests {
                     let sq = tape.mul_elem(d, d);
                     let scaled = tape.scale(sq, 1.0 / batch.len() as f64);
                     let loss = tape.mean_all(scaled);
-                    tape.backward(loss);
-                    tape.param_grads(store);
+                    tape.backward(loss, store);
                 }
                 adam.step(store);
             }
@@ -1399,6 +1291,64 @@ mod tests {
                 bits(&arena) == bits(&fresh),
                 "{kind:?}: trained tensors differ"
             );
+        }
+    }
+
+    #[test]
+    fn training_and_forecasts_do_not_depend_on_the_chunk() {
+        // 3 mini-batches of 8 and a partial one per epoch; then the same
+        // without a validation split (the trainer validates on training
+        // windows). Chunks of 1 are one graph per sample.
+        let s = sine_series(120, 12.0);
+        let rows: Vec<Vec<f64>> = (0..3)
+            .map(|i| s.values()[80 + 5 * i..104 + 5 * i].to_vec())
+            .collect();
+        let windows = Matrix::from_rows(&rows).unwrap();
+        for val_fraction in [0.2, 0.0] {
+            let cfg = TrainConfig {
+                epochs: 2,
+                batch_size: 8,
+                max_samples: 37,
+                val_fraction,
+                ..quick_config()
+            };
+            for kind in DeepModelKind::PAPER_BASELINES
+                .iter()
+                .copied()
+                .chain([DeepModelKind::Mlp])
+            {
+                let run = |chunk: usize| {
+                    let mut m = DeepModel::new(kind, 24, 6, 1);
+                    m.config = cfg;
+                    let (inputs, targets) = m.training_pairs(&s).unwrap();
+                    let (l, f, dim) = (m.lookback, m.horizon, m.dim);
+                    let arch = &m.arch;
+                    let best = Trainer::new(cfg)
+                        .fit_chunked(
+                            &mut m.store,
+                            &inputs,
+                            &targets,
+                            |t, st, x| run_forward(arch, l, f, dim, t, st, x),
+                            chunk,
+                        )
+                        .unwrap();
+                    m.trained = true;
+                    let forecasts = m.predict_batch(&windows, 1).unwrap();
+                    let mut bits = vec![best.to_bits()];
+                    for (v, _, _) in m.export_tensors() {
+                        bits.extend(v.iter().map(|x| x.to_bits()));
+                    }
+                    bits.extend(forecasts.data().iter().map(|x| x.to_bits()));
+                    bits
+                };
+                let want = run(1);
+                for chunk in [2, 3, CHUNK, cfg.batch_size] {
+                    assert!(
+                        run(chunk) == want,
+                        "{kind:?}, val_fraction {val_fraction}: chunks of {chunk} differ"
+                    );
+                }
+            }
         }
     }
 

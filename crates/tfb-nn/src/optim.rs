@@ -110,6 +110,11 @@ impl ParamStore {
         &self.params[id.0].grad
     }
 
+    /// The parameter's gradient buffer, for the tape to add into.
+    pub(crate) fn grad_mut(&mut self, id: ParamId) -> &mut [f64] {
+        &mut self.params[id.0].grad
+    }
+
     /// Adds `delta` into the parameter's gradient buffer.
     pub fn accumulate_grad(&mut self, id: ParamId, delta: &[f64]) {
         for (g, d) in self.params[id.0].grad.iter_mut().zip(delta) {
@@ -289,8 +294,7 @@ mod tests {
             let d = tape.sub(p, t);
             let sq = tape.mul_elem(d, d);
             let loss = tape.mean_all(sq);
-            tape.backward(loss);
-            tape.param_grads(&mut store);
+            tape.backward(loss, &mut store);
             adam.step(&mut store);
         }
         for (v, t) in store.get(id).0.iter().zip(&target) {

@@ -1,33 +1,55 @@
-//! A minimal define-by-run reverse-mode autodiff engine over 2-D tensors.
+//! A minimal define-by-run reverse-mode autodiff engine over blocked 2-D
+//! tensors.
 //!
-//! A forward pass records nodes on a [`Tape`]; [`Tape::backward`] walks
-//! them in reverse, and [`Tape::param_grads`] hands the accumulated
-//! parameter gradients back to the [`crate::optim::ParamStore`].
+//! Every node holds `blocks` row-major `rows × cols` matrices, one per
+//! sample of the graph, stacked; a parameter is one block, shared by
+//! every sample. A model's forward pass is written for one sample and
+//! runs on all of a chunk's samples at once:
+//! - row-wise ops (dense layers, biases, gains, activations, layer norm,
+//!   row concatenation, the loss head) run once over the stacked rows;
+//! - ops that mix rows (the attention products, transpose, pooling,
+//!   causal convolution, a shared left operand) loop over the blocks
+//!   inside one node.
+//!
+//! Each block's arithmetic is exactly what a one-sample graph performs,
+//! so every block's values and gradients equal that graph's bit for bit.
+//! [`Tape::backward`] walks the nodes in reverse and, per node, skips
+//! every block whose gradient is all zero, as a one-sample graph skips
+//! the whole node: inputs of such a block never meet a term (`0 · inf`)
+//! that the one-sample graph never formed.
+//!
+//! Parameter gradients leave the tape during the backward pass. A
+//! parameter loaded once, whose one reader is a matrix product, a
+//! broadcast add, bias or gain, or a convolution, adds each sample's own
+//! gradient, formed from `+0.0`, straight into the store's gradient in
+//! sample order: the segmented kernels of [`tfb_math::matrix`] for
+//! weights and [`tfb_math::kernel`] for biases and gains. Any other
+//! parameter leaf (the GRU loads its gates once per step) keeps a
+//! per-block slab that the end of `backward` adds into the store sample
+//! by sample, leaf by leaf in load order. Either way the store receives
+//! the additions that per-sample graphs gave it.
+//!
+//! Matrix-product gradients run on the shared GEMM kernel: `dA = dOut·Bᵀ`
+//! through [`tfb_math::matrix::par_gemm`], `dB = Aᵀ·dOut` through the
+//! transposed-left entries, which read `A`'s rows as they are. Every
+//! gradient element adds its terms in ascending order, starting from
+//! `+0.0`; the kernel's zero-skip drops only `±0` terms, which cannot
+//! change such a sum when the operands are finite, so the gradients
+//! equal the plain triple-loop formulas bit for bit.
+//!
 //! [`Tape::reset`] empties a tape but keeps every node's value and
-//! gradient buffer, so one tape serves a whole training run or a stream of
-//! inference windows: once the first pass has sized the buffers, later
-//! passes over the same graph allocate nothing. Tensors are dense
-//! row-major `f64` matrices — large enough for the miniature forecasters,
-//! small enough to audit.
-//!
-//! Only nodes that some parameter feeds receive gradients. Matrix-product
-//! gradients run on the shared GEMM kernel: `dA = dOut·Bᵀ` through
-//! [`tfb_math::matrix::par_gemm`], `dB = Aᵀ·dOut` through the
-//! transposed-left entry [`tfb_math::matrix::gemm_tn_acc`], which reads
-//! `A`'s rows as they are. Every gradient element still adds
-//! its terms in ascending order, starting from `+0.0`; the kernel's
-//! zero-skip drops only `±0` terms, which cannot change such a sum when
-//! the operands are finite, so the gradients equal the plain triple-loop
-//! formulas bit for bit.
-//!
-//! Parameter values change only when the store's [`Stamp`] does (once
-//! per optimizer step in training), so a tape keeps what it derives from
-//! them for as long as the stamp holds: a node slot that already holds a
-//! parameter at the current stamp is not copied again, and `dA` reuses
-//! the transpose of a parameter `B` built at that stamp.
+//! gradient buffer, so one tape serves a whole training run or a stream
+//! of inference chunks: once the first pass has sized the buffers, later
+//! passes over the same graph allocate nothing. Parameter values change
+//! only when the store's [`Stamp`] does (once per optimizer step in
+//! training), so a node slot that already holds a parameter at the
+//! current stamp is not copied again, and `dA` reuses the transpose of a
+//! parameter `B` built at that stamp.
 
 use crate::optim::{ParamId, ParamStore, Stamp};
-use tfb_math::matrix::{gemm_tn_acc, par_gemm};
+use std::ops::Range;
+use tfb_math::kernel::{col_dot_segments, col_sum_segments};
+use tfb_math::matrix::{gemm_tn_acc, gemm_tn_segments, par_gemm};
 
 /// Handle to a node on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,9 +157,23 @@ impl Op {
             | Op::Reshape(a) => [Some(a), None],
         }
     }
+
+    /// Which inputs this op can send a parameter leaf's gradient from
+    /// straight into the store: each sample's contribution is then one
+    /// complete sum per element.
+    fn param_sinks(self) -> [bool; 2] {
+        match self {
+            Op::MatMul(..) | Op::Add(..) => [true, true],
+            Op::AddRowBroadcast(..) | Op::MulRowBroadcast(..) | Op::CausalConv1d { .. } => {
+                [false, true]
+            }
+            _ => [false, false],
+        }
+    }
 }
 
 struct Node {
+    blocks: usize,
     rows: usize,
     cols: usize,
     op: Op,
@@ -146,6 +182,18 @@ struct Node {
     /// Whether some parameter feeds this node; only such nodes get
     /// gradients.
     needs_grad: bool,
+    /// How many op inputs read this node.
+    uses: u32,
+    /// Whether the last op that read it can take a parameter leaf's
+    /// gradient to the store ([`Op::param_sinks`]).
+    sinkable: bool,
+}
+
+impl Node {
+    /// Elements of one block.
+    fn size(&self) -> usize {
+        self.rows * self.cols
+    }
 }
 
 /// The tape: an arena of nodes built during the forward pass.
@@ -158,10 +206,18 @@ pub struct Tape {
     /// The parameter (and stamp) whose values slot `i`'s buffer holds,
     /// if the last node in that slot loaded one.
     held: Vec<Option<(ParamId, Stamp)>>,
-    /// Gradient buffer of node slot `i`, sized by [`Tape::backward`].
+    /// Gradient buffer of node slot `i`, sized by [`Tape::backward`]:
+    /// one per block, a slab of one per graph block for a parameter leaf
+    /// whose gradient does not go straight to the store, none for one
+    /// whose gradient does.
     grads: Vec<Vec<f64>>,
-    /// How many leading nodes the last [`Tape::backward`] gave gradients.
-    grads_valid: usize,
+    /// Whether slot `i`'s gradient still holds only the zeros `backward`
+    /// filled it with, so a product may be formed in place.
+    fresh: Vec<bool>,
+    /// Loads of each parameter (by index) in the current graph.
+    loads: Vec<u32>,
+    /// Blocks of the current graph: the most any node has.
+    blocks: usize,
     /// Scratch of the matmul backward: a transposed right operand and a
     /// product.
     transposed: Vec<f64>,
@@ -169,6 +225,11 @@ pub struct Tape {
     /// Parameter transposes of the matmul backward, by parameter index,
     /// with the stamp each was built at.
     param_t: Vec<(Option<Stamp>, Vec<f64>)>,
+    /// Whether each block of the gradient `backward` is at holds a
+    /// non-zero.
+    live: Vec<bool>,
+    /// Row ranges of one node's segmented parameter gradient.
+    segments: Vec<Range<usize>>,
     /// Per-op-kind counts, kept only once [`Tape::count_ops`] armed them.
     tally: Option<Box<OpTally>>,
 }
@@ -240,6 +301,38 @@ impl OpTally {
     }
 }
 
+/// Block `s` of a node value or gradient holding `blocks` blocks of
+/// `size` elements; a one-block buffer serves every `s`.
+fn block(v: &[f64], blocks: usize, size: usize, s: usize) -> &[f64] {
+    let s = if blocks == 1 { 0 } else { s };
+    &v[s * size..(s + 1) * size]
+}
+
+/// The maximal runs of consecutive `true` entries of `live`.
+fn live_runs(live: &[bool]) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut s = 0;
+    std::iter::from_fn(move || {
+        while s < live.len() && !live[s] {
+            s += 1;
+        }
+        let start = s;
+        while s < live.len() && live[s] {
+            s += 1;
+        }
+        (start < s).then_some(start..s)
+    })
+}
+
+/// One row range per block: block `s`'s `rows` rows when it is live, an
+/// empty range at its start when it is not.
+fn block_segments(live: &[bool], rows: usize, out: &mut Vec<Range<usize>>) {
+    out.clear();
+    out.extend(live.iter().enumerate().map(|(s, &l)| {
+        let start = s * rows;
+        start..if l { start + rows } else { start }
+    }));
+}
+
 impl Tape {
     /// Creates an empty tape.
     pub fn new() -> Tape {
@@ -268,7 +361,8 @@ impl Tape {
     /// is kept, so a pass over the same graph allocates nothing.
     pub fn reset(&mut self) {
         self.nodes.clear();
-        self.grads_valid = 0;
+        self.loads.iter_mut().for_each(|n| *n = 0);
+        self.blocks = 0;
     }
 
     /// The value buffer of the next node slot: empty, with whatever
@@ -283,14 +377,24 @@ impl Tape {
         buf
     }
 
-    fn push(&mut self, value: Vec<f64>, rows: usize, cols: usize, op: Op) -> TensorRef {
-        debug_assert_eq!(value.len(), rows * cols);
+    fn push(&mut self, value: Vec<f64>, shape: (usize, usize, usize), op: Op) -> TensorRef {
+        let (blocks, rows, cols) = shape;
+        debug_assert_eq!(value.len(), blocks * rows * cols);
+        assert!(
+            blocks == 1 || self.blocks <= 1 || blocks == self.blocks,
+            "a graph's nodes hold one block or all {} of its blocks, not {blocks}",
+            self.blocks
+        );
         let i = self.nodes.len();
-        let needs_grad = op
-            .inputs()
-            .into_iter()
-            .flatten()
-            .any(|p| self.nodes[p].needs_grad);
+        let mut needs_grad = false;
+        for (p, sink) in op.inputs().into_iter().zip(op.param_sinks()) {
+            if let Some(p) = p {
+                let input = &mut self.nodes[p];
+                needs_grad |= input.needs_grad;
+                input.uses += 1;
+                input.sinkable = sink;
+            }
+        }
         match self.values.get_mut(i) {
             Some(slot) => {
                 *slot = value;
@@ -303,30 +407,58 @@ impl Tape {
         }
         if let Some(t) = &mut self.tally {
             t.nodes[op.kind()] += 1;
-            t.elems[op.kind()] += (rows * cols) as u64;
+            t.elems[op.kind()] += (blocks * rows * cols) as u64;
         }
+        self.blocks = self.blocks.max(blocks);
         // Gradient buffers are sized by `backward`; forward-only passes
         // (inference, validation) never touch them.
         self.nodes.push(Node {
+            blocks,
             rows,
             cols,
             op,
             param: None,
             needs_grad,
+            uses: 0,
+            sinkable: false,
         });
         TensorRef(i)
     }
 
-    /// A node holding `f` of every element of `a`.
-    fn map(&mut self, a: TensorRef, op: Op, f: impl Fn(f64) -> f64) -> TensorRef {
-        let (r, c) = self.shape(a);
-        let mut v = self.buffer();
-        v.extend(self.values[a.0].iter().map(|&x| f(x)));
-        self.push(v, r, c, op)
+    /// The block count of an op over `a` and `b`: equal counts, or one
+    /// side a single block that every block of the other shares. A shared
+    /// side that needs a gradient must be a parameter leaf, whose
+    /// gradient the backward pass keeps per block.
+    fn broadcast(&self, a: TensorRef, b: TensorRef, ctx: &str) -> usize {
+        let (ba, bb) = (self.nodes[a.0].blocks, self.nodes[b.0].blocks);
+        let shared_ok = |p: usize| {
+            let n = &self.nodes[p];
+            !n.needs_grad || n.param.is_some()
+        };
+        match (ba, bb) {
+            _ if ba == bb => ba,
+            (1, _) => {
+                assert!(shared_ok(a.0), "{ctx}: a shared operand needs a gradient");
+                bb
+            }
+            (_, 1) => {
+                assert!(shared_ok(b.0), "{ctx}: a shared operand needs a gradient");
+                ba
+            }
+            _ => panic!("{ctx}: block mismatch {ba} vs {bb}"),
+        }
     }
 
-    /// A node holding `f` of every element pair of the same-shaped `a` and
-    /// `b`.
+    /// A node holding `f` of every element of `a`.
+    fn map(&mut self, a: TensorRef, op: Op, f: impl Fn(f64) -> f64) -> TensorRef {
+        let shape = self.full_shape(a);
+        let mut v = self.buffer();
+        v.extend(self.values[a.0].iter().map(|&x| f(x)));
+        self.push(v, shape, op)
+    }
+
+    /// A node holding `f` of every element pair of `a` and `b`, blocks of
+    /// the same shape (a one-block side is shared by every block).
     fn zip_map(
         &mut self,
         a: TensorRef,
@@ -336,19 +468,20 @@ impl Tape {
         f: impl Fn(f64, f64) -> f64,
     ) -> TensorRef {
         let (r, c) = self.assert_same_shape(a, b, ctx);
+        let blocks = self.broadcast(a, b, ctx);
+        let (ba, bb) = (self.nodes[a.0].blocks, self.nodes[b.0].blocks);
         let mut v = self.buffer();
-        v.extend(
-            self.values[a.0]
-                .iter()
-                .zip(&self.values[b.0])
-                .map(|(&x, &y)| f(x, y)),
-        );
-        self.push(v, r, c, op)
+        for s in 0..blocks {
+            let xs = block(&self.values[a.0], ba, r * c, s);
+            let ys = block(&self.values[b.0], bb, r * c, s);
+            v.extend(xs.iter().zip(ys).map(|(&x, &y)| f(x, y)));
+        }
+        self.push(v, (blocks, r, c), op)
     }
 
-    /// Loads a parameter onto the tape (gradients flow back to the store).
-    /// A slot that already holds this parameter at the store's current
-    /// stamp keeps its copy.
+    /// Loads a parameter onto the tape as one block that every sample
+    /// shares (gradients flow back to the store). A slot that already
+    /// holds this parameter at the store's current stamp keeps its copy.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> TensorRef {
         let (value, rows, cols) = store.get(id);
         let key = Some((id, store.stamp()));
@@ -360,64 +493,90 @@ impl Tape {
             v.extend_from_slice(value);
             v
         };
-        let r = self.push(v, rows, cols, Op::Leaf);
+        let r = self.push(v, (1, rows, cols), Op::Leaf);
         self.held[i] = key;
+        if self.loads.len() <= id.index() {
+            self.loads.resize(id.index() + 1, 0);
+        }
+        self.loads[id.index()] += 1;
         let node = &mut self.nodes[r.0];
         node.param = key;
         node.needs_grad = true;
         r
     }
 
-    /// Loads constant input data (no gradient).
+    /// Loads constant input data (no gradient): `data` holds one or more
+    /// stacked `rows × cols` blocks, one per sample.
     pub fn input(&mut self, data: &[f64], rows: usize, cols: usize) -> TensorRef {
+        let size = rows * cols;
+        assert!(
+            size > 0 && !data.is_empty() && data.len().is_multiple_of(size),
+            "input of {} values is not whole {rows}x{cols} blocks",
+            data.len()
+        );
         let mut v = self.buffer();
         v.extend_from_slice(data);
-        self.push(v, rows, cols, Op::Leaf)
+        self.push(v, (data.len() / size, rows, cols), Op::Leaf)
     }
 
-    /// Loads constant input data by taking ownership of the buffer —
-    /// [`Tape::input`] without the copy, for batch-sized operands.
-    pub fn input_owned(&mut self, data: Vec<f64>, rows: usize, cols: usize) -> TensorRef {
-        self.push(data, rows, cols, Op::Leaf)
-    }
-
-    /// Shape of a tensor.
+    /// Shape of one block of a tensor.
     pub fn shape(&self, t: TensorRef) -> (usize, usize) {
         (self.nodes[t.0].rows, self.nodes[t.0].cols)
     }
 
-    /// Value of a tensor.
+    /// How many blocks a tensor holds.
+    pub fn blocks(&self, t: TensorRef) -> usize {
+        self.nodes[t.0].blocks
+    }
+
+    fn full_shape(&self, t: TensorRef) -> (usize, usize, usize) {
+        let n = &self.nodes[t.0];
+        (n.blocks, n.rows, n.cols)
+    }
+
+    /// Value of a tensor: its blocks, stacked.
     pub fn value(&self, t: TensorRef) -> &[f64] {
         &self.values[t.0]
     }
 
-    /// Matrix product.
+    /// Matrix product, block by block.
     pub fn matmul(&mut self, a: TensorRef, b: TensorRef) -> TensorRef {
         let (ar, ac) = self.shape(a);
         let (br, bc) = self.shape(b);
         assert_eq!(ac, br, "matmul shape mismatch: {ar}x{ac} * {br}x{bc}");
+        let blocks = self.broadcast(a, b, "matmul");
+        let (ba, bb) = (self.nodes[a.0].blocks, self.nodes[b.0].blocks);
         // Forward values go through the shared blocked GEMM (row-parallel
-        // for large batches). Its per-element reduction runs over `k` in
+        // for large products). Its per-element reduction runs over `k` in
         // ascending order with the same zero-skip as the historical ikj
-        // loop here, so single-row and batched forwards agree to the last
-        // bit at any thread count.
+        // loop here, so one product over the stacked rows and one per
+        // block agree to the last bit at any thread count.
         let mut out = self.buffer();
-        out.resize(ar * bc, 0.0);
-        par_gemm(&self.values[a.0], ar, ac, &self.values[b.0], bc, &mut out);
-        self.push(out, ar, bc, Op::MatMul(a.0, b.0))
+        out.resize(blocks * ar * bc, 0.0);
+        let (av, bv) = (&self.values[a.0], &self.values[b.0]);
+        if bb == 1 {
+            // A shared right operand: one product over every block's rows.
+            par_gemm(av, ba * ar, ac, bv, bc, &mut out);
+        } else {
+            for (s, o) in out.chunks_exact_mut(ar * bc).enumerate() {
+                let a_s = block(av, ba, ar * ac, s);
+                par_gemm(a_s, ar, ac, block(bv, bb, ac * bc, s), bc, o);
+            }
+        }
+        self.push(out, (blocks, ar, bc), Op::MatMul(a.0, b.0))
     }
 
-    /// Elementwise sum (same shape).
+    /// Elementwise sum (same block shape; a one-block side is shared).
     pub fn add(&mut self, a: TensorRef, b: TensorRef) -> TensorRef {
         self.zip_map(a, b, "add", Op::Add(a.0, b.0), |x, y| x + y)
     }
 
-    /// Elementwise difference (same shape).
+    /// Elementwise difference (same block shape).
     pub fn sub(&mut self, a: TensorRef, b: TensorRef) -> TensorRef {
         self.zip_map(a, b, "sub", Op::Sub(a.0, b.0), |x, y| x - y)
     }
 
-    /// Elementwise product (same shape).
+    /// Elementwise product (same block shape).
     pub fn mul_elem(&mut self, a: TensorRef, b: TensorRef) -> TensorRef {
         self.zip_map(a, b, "mul_elem", Op::MulElem(a.0, b.0), |x, y| x * y)
     }
@@ -427,11 +586,14 @@ impl Tape {
         self.map(a, Op::Scale(a.0, s), |x| x * s)
     }
 
-    /// Adds a `1 x cols` row vector to every row of `a`.
+    /// Adds a one-block `1 x cols` row vector to every row of `a`.
     pub fn add_row_broadcast(&mut self, a: TensorRef, bias: TensorRef) -> TensorRef {
-        let (r, c) = self.shape(a);
-        let (br, bc) = self.shape(bias);
-        assert!(br == 1 && bc == c, "bias must be 1 x cols");
+        let (blocks, r, c) = self.full_shape(a);
+        assert!(
+            self.full_shape(bias) == (1, 1, c),
+            "bias must be one 1 x cols block"
+        );
+        self.broadcast(a, bias, "add_row_broadcast");
         let mut v = self.buffer();
         v.extend_from_slice(&self.values[a.0]);
         let bv = &self.values[bias.0];
@@ -440,14 +602,18 @@ impl Tape {
                 *x += b;
             }
         }
-        self.push(v, r, c, Op::AddRowBroadcast(a.0, bias.0))
+        self.push(v, (blocks, r, c), Op::AddRowBroadcast(a.0, bias.0))
     }
 
-    /// Multiplies every row of `a` elementwise by a `1 x cols` row vector.
+    /// Multiplies every row of `a` elementwise by a one-block `1 x cols`
+    /// row vector.
     pub fn mul_row_broadcast(&mut self, a: TensorRef, gain: TensorRef) -> TensorRef {
-        let (r, c) = self.shape(a);
-        let (gr, gc) = self.shape(gain);
-        assert!(gr == 1 && gc == c, "gain must be 1 x cols");
+        let (blocks, r, c) = self.full_shape(a);
+        assert!(
+            self.full_shape(gain) == (1, 1, c),
+            "gain must be one 1 x cols block"
+        );
+        self.broadcast(a, gain, "mul_row_broadcast");
         let mut v = self.buffer();
         v.extend_from_slice(&self.values[a.0]);
         let gv = &self.values[gain.0];
@@ -456,7 +622,7 @@ impl Tape {
                 *x *= g;
             }
         }
-        self.push(v, r, c, Op::MulRowBroadcast(a.0, gain.0))
+        self.push(v, (blocks, r, c), Op::MulRowBroadcast(a.0, gain.0))
     }
 
     /// ReLU.
@@ -476,7 +642,7 @@ impl Tape {
 
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: TensorRef) -> TensorRef {
-        let (r, c) = self.shape(a);
+        let (blocks, r, c) = self.full_shape(a);
         let mut v = self.buffer();
         v.extend_from_slice(&self.values[a.0]);
         for row in v.chunks_mut(c) {
@@ -490,43 +656,56 @@ impl Tape {
                 *x /= sum;
             }
         }
-        self.push(v, r, c, Op::SoftmaxRows(a.0))
+        self.push(v, (blocks, r, c), Op::SoftmaxRows(a.0))
     }
 
-    /// Transpose.
+    /// Transpose of every block.
     pub fn transpose(&mut self, a: TensorRef) -> TensorRef {
-        let (r, c) = self.shape(a);
+        let (blocks, r, c) = self.full_shape(a);
         let mut v = self.buffer();
-        transpose_into(&self.values[a.0], r, c, &mut v);
-        self.push(v, c, r, Op::Transpose(a.0))
-    }
-
-    /// Mean over all elements (returns a 1x1 tensor; the usual loss head).
-    pub fn mean_all(&mut self, a: TensorRef) -> TensorRef {
-        let n = self.values[a.0].len() as f64;
-        let m = self.values[a.0].iter().sum::<f64>() / n;
-        let mut v = self.buffer();
-        v.push(m);
-        self.push(v, 1, 1, Op::MeanAll(a.0))
-    }
-
-    /// Concatenates columns: `[a | b]` (same row count).
-    pub fn concat_cols(&mut self, a: TensorRef, b: TensorRef) -> TensorRef {
-        let (ar, ac) = self.shape(a);
-        let (br, bc) = self.shape(b);
-        assert_eq!(ar, br, "concat_cols row mismatch");
-        let mut v = self.buffer();
-        for i in 0..ar {
-            v.extend_from_slice(&self.values[a.0][i * ac..(i + 1) * ac]);
-            v.extend_from_slice(&self.values[b.0][i * bc..(i + 1) * bc]);
+        v.resize(blocks * r * c, 0.0);
+        for (vs, xs) in v
+            .chunks_exact_mut(r * c)
+            .zip(self.values[a.0].chunks_exact(r * c))
+        {
+            transpose_into(xs, r, c, vs);
         }
-        self.push(v, ar, ac + bc, Op::ConcatCols(a.0, b.0))
+        self.push(v, (blocks, c, r), Op::Transpose(a.0))
+    }
+
+    /// Mean over all elements of every block (a 1x1 block each; the usual
+    /// loss head).
+    pub fn mean_all(&mut self, a: TensorRef) -> TensorRef {
+        let (blocks, r, c) = self.full_shape(a);
+        let mut v = self.buffer();
+        v.extend(
+            self.values[a.0]
+                .chunks_exact(r * c)
+                .map(|xs| xs.iter().sum::<f64>() / (r * c) as f64),
+        );
+        self.push(v, (blocks, 1, 1), Op::MeanAll(a.0))
+    }
+
+    /// Concatenates columns: `[a | b]` (same blocks and row count).
+    pub fn concat_cols(&mut self, a: TensorRef, b: TensorRef) -> TensorRef {
+        let (blocks, ar, ac) = self.full_shape(a);
+        let (bb, br, bc) = self.full_shape(b);
+        assert!(ar == br && blocks == bb, "concat_cols row mismatch");
+        let mut v = self.buffer();
+        let rows = self.values[a.0]
+            .chunks_exact(ac)
+            .zip(self.values[b.0].chunks_exact(bc));
+        for (x, y) in rows {
+            v.extend_from_slice(x);
+            v.extend_from_slice(y);
+        }
+        self.push(v, (blocks, ar, ac + bc), Op::ConcatCols(a.0, b.0))
     }
 
     /// Row-wise layer normalization (no affine; compose with
     /// [`Tape::mul_row_broadcast`] / [`Tape::add_row_broadcast`] for one).
     pub fn layer_norm_rows(&mut self, a: TensorRef) -> TensorRef {
-        let (r, c) = self.shape(a);
+        let (blocks, r, c) = self.full_shape(a);
         let mut v = self.buffer();
         v.extend_from_slice(&self.values[a.0]);
         for row in v.chunks_mut(c) {
@@ -537,37 +716,41 @@ impl Tape {
                 *x = (*x - mean) * inv;
             }
         }
-        self.push(v, r, c, Op::LayerNormRows(a.0))
+        self.push(v, (blocks, r, c), Op::LayerNormRows(a.0))
     }
 
-    /// Averages consecutive groups of `stride` rows (rows not divisible by
-    /// the stride keep a smaller final group).
+    /// Averages consecutive groups of `stride` rows of every block (rows
+    /// not divisible by the stride keep a smaller final group).
     pub fn avg_pool_rows(&mut self, a: TensorRef, stride: usize) -> TensorRef {
         assert!(stride >= 1, "stride must be >= 1");
-        let (r, c) = self.shape(a);
+        let (blocks, r, c) = self.full_shape(a);
         let out_rows = r.div_ceil(stride);
         let mut v = self.buffer();
-        v.resize(out_rows * c, 0.0);
-        let av = &self.values[a.0];
-        for g in 0..out_rows {
-            let start = g * stride;
-            let end = (start + stride).min(r);
-            for row in start..end {
+        v.resize(blocks * out_rows * c, 0.0);
+        for (vs, av) in v
+            .chunks_exact_mut(out_rows * c)
+            .zip(self.values[a.0].chunks_exact(r * c))
+        {
+            for g in 0..out_rows {
+                let start = g * stride;
+                let end = (start + stride).min(r);
+                for row in start..end {
+                    for j in 0..c {
+                        vs[g * c + j] += av[row * c + j];
+                    }
+                }
+                let k = (end - start) as f64;
                 for j in 0..c {
-                    v[g * c + j] += av[row * c + j];
+                    vs[g * c + j] /= k;
                 }
             }
-            let k = (end - start) as f64;
-            for j in 0..c {
-                v[g * c + j] /= k;
-            }
         }
-        self.push(v, out_rows, c, Op::AvgPoolRows(a.0, stride))
+        self.push(v, (blocks, out_rows, c), Op::AvgPoolRows(a.0, stride))
     }
 
-    /// Causal dilated 1-D convolution. `x` is `(seq, in_ch)`, `w` is
-    /// `(kernel * in_ch, out_ch)`; output is `(seq, out_ch)` with zero
-    /// padding on the left.
+    /// Causal dilated 1-D convolution of every block. `x` is `(seq,
+    /// in_ch)`, `w` one `(kernel * in_ch, out_ch)` block; output is `(seq,
+    /// out_ch)` with zero padding on the left.
     pub fn causal_conv1d(
         &mut self,
         x: TensorRef,
@@ -575,38 +758,42 @@ impl Tape {
         kernel: usize,
         dilation: usize,
     ) -> TensorRef {
-        let (seq, in_ch) = self.shape(x);
-        let (wr, out_ch) = self.shape(w);
-        assert_eq!(wr, kernel * in_ch, "conv weight shape");
+        let (blocks, seq, in_ch) = self.full_shape(x);
+        let (wb, wr, out_ch) = self.full_shape(w);
+        assert_eq!((wb, wr), (1, kernel * in_ch), "conv weight shape");
         assert!(dilation >= 1);
+        self.broadcast(x, w, "causal_conv1d");
         let mut v = self.buffer();
-        v.resize(seq * out_ch, 0.0);
-        let xv = &self.values[x.0];
+        v.resize(blocks * seq * out_ch, 0.0);
         let wv = &self.values[w.0];
-        for t in 0..seq {
-            for k in 0..kernel {
-                let offset = k * dilation;
-                if offset > t {
-                    continue;
-                }
-                let src = t - offset;
-                for ic in 0..in_ch {
-                    let xval = xv[src * in_ch + ic];
-                    if xval == 0.0 {
+        for (vs, xv) in v
+            .chunks_exact_mut(seq * out_ch)
+            .zip(self.values[x.0].chunks_exact(seq * in_ch))
+        {
+            for t in 0..seq {
+                for k in 0..kernel {
+                    let offset = k * dilation;
+                    if offset > t {
                         continue;
                     }
-                    let wrow = &wv[(k * in_ch + ic) * out_ch..(k * in_ch + ic + 1) * out_ch];
-                    let orow = &mut v[t * out_ch..(t + 1) * out_ch];
-                    for (o, &ww) in orow.iter_mut().zip(wrow) {
-                        *o += xval * ww;
+                    let src = t - offset;
+                    for ic in 0..in_ch {
+                        let xval = xv[src * in_ch + ic];
+                        if xval == 0.0 {
+                            continue;
+                        }
+                        let wrow = &wv[(k * in_ch + ic) * out_ch..(k * in_ch + ic + 1) * out_ch];
+                        let orow = &mut vs[t * out_ch..(t + 1) * out_ch];
+                        for (o, &ww) in orow.iter_mut().zip(wrow) {
+                            *o += xval * ww;
+                        }
                     }
                 }
             }
         }
         self.push(
             v,
-            seq,
-            out_ch,
+            (blocks, seq, out_ch),
             Op::CausalConv1d {
                 x: x.0,
                 w: w.0,
@@ -616,14 +803,14 @@ impl Tape {
         )
     }
 
-    /// Reinterprets the row-major data with a new shape (same element
-    /// count); gradients pass through unchanged.
+    /// Reinterprets every block's row-major data with a new shape (same
+    /// element count); gradients pass through unchanged.
     pub fn reshape(&mut self, a: TensorRef, rows: usize, cols: usize) -> TensorRef {
-        let (r, c) = self.shape(a);
+        let (blocks, r, c) = self.full_shape(a);
         assert_eq!(r * c, rows * cols, "reshape element count mismatch");
         let mut v = self.buffer();
         v.extend_from_slice(&self.values[a.0]);
-        self.push(v, rows, cols, Op::Reshape(a.0))
+        self.push(v, (blocks, rows, cols), Op::Reshape(a.0))
     }
 
     fn assert_same_shape(&self, a: TensorRef, b: TensorRef, ctx: &str) -> (usize, usize) {
@@ -633,159 +820,333 @@ impl Tape {
         sa
     }
 
-    /// Runs backpropagation from `loss` (must be 1x1) and returns nothing;
-    /// gradients are available via [`Tape::param_grads`].
-    pub fn backward(&mut self, loss: TensorRef) {
-        assert_eq!(self.shape(loss), (1, 1), "loss must be scalar");
+    /// Backpropagates from `loss`, one 1x1 block per sample, each seeded
+    /// with gradient 1.0, and adds every parameter gradient into `store`:
+    /// sample by sample in block order, as per-sample graphs added theirs
+    /// one after another.
+    pub fn backward(&mut self, loss: TensorRef, store: &mut ParamStore) {
+        assert_eq!(
+            self.shape(loss),
+            (1, 1),
+            "loss must be one scalar per block"
+        );
         let n = self.nodes.len();
         if self.grads.len() < n {
             self.grads.resize_with(n, Vec::new);
+            self.fresh.resize(n, true);
         }
-        for ((node, value), grad) in self.nodes.iter().zip(&self.values).zip(&mut self.grads) {
+        let graph_blocks = self.blocks.max(1);
+        for (i, node) in self.nodes.iter().enumerate() {
+            let grad = &mut self.grads[i];
             grad.clear();
-            if node.needs_grad {
-                grad.resize(value.len(), 0.0);
+            self.fresh[i] = true;
+            if !node.needs_grad || sink(&self.nodes, &self.loads, i).is_some() {
+                continue;
             }
+            // A parameter leaf not served straight to the store keeps a
+            // slab of one block per sample.
+            let blocks = if node.param.is_some() {
+                graph_blocks
+            } else {
+                node.blocks
+            };
+            grad.resize(blocks * node.size(), 0.0);
         }
-        self.grads_valid = n;
         if !self.nodes[loss.0].needs_grad {
             return;
         }
-        self.grads[loss.0][0] = 1.0;
-        let (nodes, values) = (&self.nodes, &self.values);
-        let wants = |p: usize| nodes[p].needs_grad;
+        self.grads[loss.0].fill(1.0);
         for idx in (0..=loss.0).rev() {
-            let node = &nodes[idx];
-            if !node.needs_grad {
+            if !self.nodes[idx].needs_grad {
                 continue;
             }
             if let Some(t) = &mut self.tally {
-                t.visits[node.op.kind()] += 1;
+                t.visits[self.nodes[idx].op.kind()] += 1;
             }
-            // Inputs precede their node, so the node's own gradient and
-            // its inputs' gradients sit on opposite sides of the split.
-            let (grads, rest) = self.grads.split_at_mut(idx);
-            let grad = rest[0].as_slice();
-            if grad.iter().all(|&g| g == 0.0) {
+            if matches!(self.nodes[idx].op, Op::Leaf) {
                 continue;
             }
-            // A single-input op that needs a gradient has an input that
-            // needs one too; two-input ops check each side.
-            match node.op {
-                Op::Leaf => {}
-                Op::MatMul(a, b) => {
-                    let (ar, ac, bc) = (nodes[a].rows, nodes[a].cols, nodes[b].cols);
-                    if wants(a) {
-                        // dA = dOut · Bᵀ
-                        let bt = transposed(
+            self.backward_node(idx, store);
+        }
+        // Slabs, sample-major and leaf-minor: the order in which
+        // per-sample graphs added their leaves' gradients.
+        let Tape { nodes, grads, .. } = &*self;
+        let slabs: Vec<usize> = (0..n)
+            .filter(|&i| nodes[i].param.is_some() && !grads[i].is_empty())
+            .collect();
+        for s in 0..graph_blocks {
+            for &i in &slabs {
+                let (id, _) = nodes[i].param.expect("a parameter leaf");
+                let size = nodes[i].size();
+                store.accumulate_grad(id, &grads[i][s * size..(s + 1) * size]);
+            }
+        }
+    }
+
+    /// Adds node `idx`'s gradient into its inputs', block by block,
+    /// skipping the blocks whose gradient is all zero.
+    fn backward_node(&mut self, idx: usize, store: &mut ParamStore) {
+        let Tape {
+            nodes,
+            values,
+            grads,
+            fresh,
+            loads,
+            transposed,
+            product,
+            param_t,
+            live,
+            segments,
+            ..
+        } = self;
+        let node = &nodes[idx];
+        let (nb, size) = (node.blocks, node.size());
+        // Inputs precede their node, so the node's own gradient and its
+        // inputs' gradients sit on opposite sides of the split.
+        let (grads, rest) = grads.split_at_mut(idx);
+        let grad = rest[0].as_slice();
+        live.clear();
+        live.extend(grad.chunks_exact(size).map(|g| g.iter().any(|&x| x != 0.0)));
+        if !live.contains(&true) {
+            return;
+        }
+        let live = live.as_slice();
+        let wants = |p: usize| nodes[p].needs_grad;
+        let to_store = |p: usize| sink(nodes, loads, p);
+        let live_blocks = || (0..nb).filter(|&s| live[s]);
+        // Block `s` of input `p`'s gradient (a slab's block for a shared
+        // parameter leaf), with the block `s` of `p`'s value.
+        let gsize = |p: usize| nodes[p].size();
+        // A single-input op that needs a gradient has an input that needs
+        // one too; two-input ops check each side.
+        match node.op {
+            Op::Leaf => {}
+            Op::MatMul(a, b) => {
+                let (ar, ac, bc) = (nodes[a].rows, nodes[a].cols, nodes[b].cols);
+                let (ba, bb) = (nodes[a].blocks, nodes[b].blocks);
+                let (sa, sb, so) = (ar * ac, ac * bc, ar * bc);
+                if wants(a) {
+                    let in_place = std::mem::replace(&mut fresh[a], false);
+                    let dest: &mut [f64] = match to_store(a) {
+                        Some(id) => store.grad_mut(id),
+                        None => &mut grads[a],
+                    };
+                    let in_place = in_place && to_store(a).is_none();
+                    if bb == 1 {
+                        // dA = dOut · Bᵀ over the stacked rows of every
+                        // run of live blocks.
+                        let bt = transposed_param(
                             (&values[b], ac, bc),
                             nodes[b].param,
-                            &mut self.param_t,
-                            &mut self.transposed,
+                            param_t,
+                            transposed,
                         );
-                        add_product(&mut self.product, &mut grads[a], |p| {
-                            par_gemm(grad, ar, bc, bt, ac, p)
-                        });
-                    }
-                    if wants(b) {
-                        // dB = Aᵀ · dOut, read straight from A's rows.
-                        add_product(&mut self.product, &mut grads[b], |p| {
-                            gemm_tn_acc(&values[a], ar, ac, grad, bc, p)
-                        });
-                    }
-                }
-                Op::Add(a, b) => {
-                    for p in [a, b] {
-                        if wants(p) {
-                            for (g, &d) in grads[p].iter_mut().zip(grad) {
-                                *g += d;
-                            }
+                        for run in live_runs(live) {
+                            let rows = run.len() * ar;
+                            let d = &grad[run.start * so..run.end * so];
+                            let g = &mut dest[run.start * sa..run.end * sa];
+                            product_into(product, g, in_place, |p| {
+                                par_gemm(d, rows, bc, bt, ac, p)
+                            });
+                        }
+                    } else {
+                        // dA_s = dOut_s · B_sᵀ, block by block.
+                        for s in live_blocks() {
+                            let bt =
+                                transposed_block(block(&values[b], bb, sb, s), ac, bc, transposed);
+                            let d = &grad[s * so..(s + 1) * so];
+                            let g = if ba == 1 && to_store(a).is_some() {
+                                &mut dest[..sa]
+                            } else {
+                                &mut dest[s * sa..(s + 1) * sa]
+                            };
+                            product_into(product, g, in_place, |p| par_gemm(d, ar, bc, bt, ac, p));
                         }
                     }
                 }
-                Op::Sub(a, b) => {
-                    if wants(a) {
-                        for (g, &d) in grads[a].iter_mut().zip(grad) {
+                if wants(b) {
+                    let in_place = std::mem::replace(&mut fresh[b], false);
+                    if bb == 1 {
+                        // dB = Aᵀ · dOut, one sum per block, straight into
+                        // the store or into the leaf's slab.
+                        block_segments(live, ar, segments);
+                        let (dest, stride): (&mut [f64], usize) = match to_store(b) {
+                            Some(id) => (store.grad_mut(id), 0),
+                            None => (&mut grads[b], sb),
+                        };
+                        gemm_tn_segments(&values[a], ac, grad, bc, segments, dest, stride);
+                    } else {
+                        // dB_s = A_sᵀ · dOut_s, read straight from A's rows.
+                        for s in live_blocks() {
+                            let a_s = block(&values[a], ba, sa, s);
+                            let d = &grad[s * so..(s + 1) * so];
+                            let g = &mut grads[b][s * sb..(s + 1) * sb];
+                            product_into(product, g, in_place, |p| {
+                                gemm_tn_acc(a_s, ar, ac, d, bc, p)
+                            });
+                        }
+                    }
+                }
+            }
+            Op::Add(a, b) => {
+                for p in [a, b] {
+                    if !wants(p) {
+                        continue;
+                    }
+                    if let Some(id) = to_store(p) {
+                        // Each block is one row of a column sum.
+                        block_segments(live, 1, segments);
+                        col_sum_segments(grad, size, segments, store.grad_mut(id), 0);
+                        continue;
+                    }
+                    for s in live_blocks() {
+                        let g = &mut grads[p][s * size..(s + 1) * size];
+                        for (g, &d) in g.iter_mut().zip(&grad[s * size..(s + 1) * size]) {
                             *g += d;
                         }
                     }
-                    if wants(b) {
-                        for (g, &d) in grads[b].iter_mut().zip(grad) {
-                            *g -= d;
-                        }
-                    }
                 }
-                Op::MulElem(a, b) => {
-                    for (p, other) in [(a, b), (b, a)] {
-                        if wants(p) {
-                            let ov = &values[other];
-                            for ((g, &d), &x) in grads[p].iter_mut().zip(grad).zip(ov) {
-                                *g += d * x;
+            }
+            Op::Sub(a, b) => {
+                for (p, sign) in [(a, 1.0), (b, -1.0)] {
+                    if !wants(p) {
+                        continue;
+                    }
+                    for s in live_blocks() {
+                        let g = &mut grads[p][s * size..(s + 1) * size];
+                        for (g, &d) in g.iter_mut().zip(&grad[s * size..(s + 1) * size]) {
+                            if sign > 0.0 {
+                                *g += d;
+                            } else {
+                                *g -= d;
                             }
                         }
                     }
                 }
-                Op::Scale(a, s) => {
-                    for (g, &d) in grads[a].iter_mut().zip(grad) {
-                        *g += d * s;
+            }
+            Op::MulElem(a, b) => {
+                for (p, other) in [(a, b), (b, a)] {
+                    if !wants(p) {
+                        continue;
+                    }
+                    for s in live_blocks() {
+                        let ov = block(&values[other], nodes[other].blocks, size, s);
+                        let g = &mut grads[p][s * size..(s + 1) * size];
+                        let d = &grad[s * size..(s + 1) * size];
+                        for ((g, &d), &x) in g.iter_mut().zip(d).zip(ov) {
+                            *g += d * x;
+                        }
                     }
                 }
-                Op::AddRowBroadcast(a, bias) => {
-                    let c = node.cols;
-                    if wants(a) {
-                        for (g, &d) in grads[a].iter_mut().zip(grad) {
+            }
+            Op::Scale(a, k) => {
+                for s in live_blocks() {
+                    let g = &mut grads[a][s * size..(s + 1) * size];
+                    for (g, &d) in g.iter_mut().zip(&grad[s * size..(s + 1) * size]) {
+                        *g += d * k;
+                    }
+                }
+            }
+            Op::AddRowBroadcast(a, bias) => {
+                let (r, c) = (node.rows, node.cols);
+                if wants(a) {
+                    for s in live_blocks() {
+                        let g = &mut grads[a][s * size..(s + 1) * size];
+                        for (g, &d) in g.iter_mut().zip(&grad[s * size..(s + 1) * size]) {
                             *g += d;
                         }
                     }
-                    if wants(bias) {
-                        let gb = &mut grads[bias];
-                        for drow in grad.chunks_exact(c) {
-                            for (g, &d) in gb.iter_mut().zip(drow) {
-                                *g += d;
+                }
+                if wants(bias) {
+                    match to_store(bias) {
+                        Some(id) => {
+                            block_segments(live, r, segments);
+                            col_sum_segments(grad, c, segments, store.grad_mut(id), 0);
+                        }
+                        None => {
+                            for s in live_blocks() {
+                                let gb = &mut grads[bias][s * c..(s + 1) * c];
+                                for drow in grad[s * size..(s + 1) * size].chunks_exact(c) {
+                                    for (g, &d) in gb.iter_mut().zip(drow) {
+                                        *g += d;
+                                    }
+                                }
                             }
                         }
                     }
                 }
-                Op::MulRowBroadcast(a, gain) => {
-                    let c = node.cols;
-                    if wants(a) {
-                        let (ga, gv) = (&mut grads[a], &values[gain]);
-                        for (garow, drow) in ga.chunks_exact_mut(c).zip(grad.chunks_exact(c)) {
+            }
+            Op::MulRowBroadcast(a, gain) => {
+                let (r, c) = (node.rows, node.cols);
+                if wants(a) {
+                    let gv = &values[gain];
+                    for s in live_blocks() {
+                        let ga = &mut grads[a][s * size..(s + 1) * size];
+                        let d = &grad[s * size..(s + 1) * size];
+                        for (garow, drow) in ga.chunks_exact_mut(c).zip(d.chunks_exact(c)) {
                             for ((g, &d), &w) in garow.iter_mut().zip(drow).zip(gv) {
                                 *g += d * w;
                             }
                         }
                     }
-                    if wants(gain) {
-                        let (gg, av) = (&mut grads[gain], &values[a]);
-                        for (drow, arow) in grad.chunks_exact(c).zip(av.chunks_exact(c)) {
-                            for ((g, &d), &x) in gg.iter_mut().zip(drow).zip(arow) {
-                                *g += d * x;
+                }
+                if wants(gain) {
+                    let av = &values[a];
+                    match to_store(gain) {
+                        Some(id) => {
+                            block_segments(live, r, segments);
+                            col_dot_segments(grad, av, c, segments, store.grad_mut(id), 0);
+                        }
+                        None => {
+                            for s in live_blocks() {
+                                let gg = &mut grads[gain][s * c..(s + 1) * c];
+                                let d = &grad[s * size..(s + 1) * size];
+                                let x = &av[s * size..(s + 1) * size];
+                                for (drow, arow) in d.chunks_exact(c).zip(x.chunks_exact(c)) {
+                                    for ((g, &d), &x) in gg.iter_mut().zip(drow).zip(arow) {
+                                        *g += d * x;
+                                    }
+                                }
                             }
                         }
                     }
                 }
-                Op::Relu(a) => {
-                    for ((g, &d), &x) in grads[a].iter_mut().zip(grad).zip(&values[a]) {
+            }
+            Op::Relu(a) => {
+                for s in live_blocks() {
+                    let blk = s * size..(s + 1) * size;
+                    let rows = grads[a][blk.clone()].iter_mut().zip(&grad[blk.clone()]);
+                    for ((g, &d), &x) in rows.zip(&values[a][blk]) {
                         if x > 0.0 {
                             *g += d;
                         }
                     }
                 }
-                Op::Tanh(a) => {
-                    for ((g, &d), &y) in grads[a].iter_mut().zip(grad).zip(&values[idx]) {
+            }
+            Op::Tanh(a) => {
+                for s in live_blocks() {
+                    let blk = s * size..(s + 1) * size;
+                    let rows = grads[a][blk.clone()].iter_mut().zip(&grad[blk.clone()]);
+                    for ((g, &d), &y) in rows.zip(&values[idx][blk]) {
                         *g += d * (1.0 - y * y);
                     }
                 }
-                Op::Sigmoid(a) => {
-                    for ((g, &d), &y) in grads[a].iter_mut().zip(grad).zip(&values[idx]) {
+            }
+            Op::Sigmoid(a) => {
+                for s in live_blocks() {
+                    let blk = s * size..(s + 1) * size;
+                    let rows = grads[a][blk.clone()].iter_mut().zip(&grad[blk.clone()]);
+                    for ((g, &d), &y) in rows.zip(&values[idx][blk]) {
                         *g += d * y * (1.0 - y);
                     }
                 }
-                Op::SoftmaxRows(a) => {
-                    let c = node.cols;
-                    let ga = &mut grads[a];
-                    let rows = values[idx].chunks(c).zip(grad.chunks(c));
+            }
+            Op::SoftmaxRows(a) => {
+                let c = node.cols;
+                for s in live_blocks() {
+                    let blk = s * size..(s + 1) * size;
+                    let ga = &mut grads[a][blk.clone()];
+                    let rows = values[idx][blk.clone()].chunks(c).zip(grad[blk].chunks(c));
                     for (row_i, (yrow, drow)) in rows.enumerate() {
                         let dot: f64 = yrow.iter().zip(drow).map(|(y, d)| y * d).sum();
                         for j in 0..c {
@@ -793,24 +1154,32 @@ impl Tape {
                         }
                     }
                 }
-                Op::Transpose(a) => {
-                    let (r, c) = (node.rows, node.cols);
-                    let ga = &mut grads[a];
+            }
+            Op::Transpose(a) => {
+                let (r, c) = (node.rows, node.cols);
+                for s in live_blocks() {
+                    let ga = &mut grads[a][s * size..(s + 1) * size];
+                    let d = &grad[s * size..(s + 1) * size];
                     for i in 0..r {
                         for j in 0..c {
-                            ga[j * r + i] += grad[i * c + j];
+                            ga[j * r + i] += d[i * c + j];
                         }
                     }
                 }
-                Op::MeanAll(a) => {
-                    let d = grad[0] / values[a].len() as f64;
-                    for g in grads[a].iter_mut() {
+            }
+            Op::MeanAll(a) => {
+                let sa = gsize(a);
+                for s in live_blocks() {
+                    let d = grad[s] / sa as f64;
+                    for g in grads[a][s * sa..(s + 1) * sa].iter_mut() {
                         *g += d;
                     }
                 }
-                Op::ConcatCols(a, b) => {
-                    let (ac, bc) = (nodes[a].cols, nodes[b].cols);
-                    for i in 0..node.rows {
+            }
+            Op::ConcatCols(a, b) => {
+                let (ac, bc) = (nodes[a].cols, nodes[b].cols);
+                for s in live_blocks() {
+                    for i in s * node.rows..(s + 1) * node.rows {
                         if wants(a) {
                             for j in 0..ac {
                                 grads[a][i * ac + j] += grad[i * (ac + bc) + j];
@@ -823,11 +1192,14 @@ impl Tape {
                         }
                     }
                 }
-                Op::LayerNormRows(a) => {
-                    let c = node.cols;
-                    let cf = c as f64;
-                    let ga = &mut grads[a];
-                    let rows = values[a].chunks(c).zip(grad.chunks(c));
+            }
+            Op::LayerNormRows(a) => {
+                let c = node.cols;
+                let cf = c as f64;
+                for s in live_blocks() {
+                    let blk = s * size..(s + 1) * size;
+                    let ga = &mut grads[a][blk.clone()];
+                    let rows = values[a][blk.clone()].chunks(c).zip(grad[blk].chunks(c));
                     for (row_i, (arow, drow)) in rows.enumerate() {
                         let mean = arow.iter().sum::<f64>() / cf;
                         let var = arow.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / cf;
@@ -842,57 +1214,109 @@ impl Tape {
                         }
                     }
                 }
-                Op::AvgPoolRows(a, stride) => {
-                    let (r, c) = (nodes[a].rows, nodes[a].cols);
-                    let ga = &mut grads[a];
+            }
+            Op::AvgPoolRows(a, stride) => {
+                let (r, c) = (nodes[a].rows, nodes[a].cols);
+                let sa = r * c;
+                for s in live_blocks() {
+                    let ga = &mut grads[a][s * sa..(s + 1) * sa];
+                    let d = &grad[s * size..(s + 1) * size];
                     for g in 0..r.div_ceil(stride) {
                         let start = g * stride;
                         let end = (start + stride).min(r);
                         let k = (end - start) as f64;
                         for row in start..end {
                             for j in 0..c {
-                                ga[row * c + j] += grad[g * c + j] / k;
+                                ga[row * c + j] += d[g * c + j] / k;
                             }
                         }
                     }
                 }
-                Op::Reshape(a) => {
-                    for (g, &d) in grads[a].iter_mut().zip(grad) {
+            }
+            Op::Reshape(a) => {
+                for s in live_blocks() {
+                    let g = &mut grads[a][s * size..(s + 1) * size];
+                    for (g, &d) in g.iter_mut().zip(&grad[s * size..(s + 1) * size]) {
                         *g += d;
                     }
                 }
-                Op::CausalConv1d {
-                    x,
-                    w,
-                    kernel,
-                    dilation,
-                } => {
-                    let (seq, in_ch) = (nodes[x].rows, nodes[x].cols);
-                    let out_ch = node.cols;
-                    let (xv, wv) = (&values[x], &values[w]);
-                    for t in 0..seq {
-                        let drow = &grad[t * out_ch..(t + 1) * out_ch];
-                        for k in 0..kernel {
-                            let offset = k * dilation;
-                            if offset > t {
-                                continue;
-                            }
-                            let src = t - offset;
-                            for ic in 0..in_ch {
-                                let wbase = (k * in_ch + ic) * out_ch;
-                                if wants(w) {
-                                    let xval = xv[src * in_ch + ic];
-                                    let gw = &mut grads[w][wbase..wbase + out_ch];
-                                    for (g, &d) in gw.iter_mut().zip(drow) {
-                                        *g += d * xval;
-                                    }
+            }
+            Op::CausalConv1d {
+                x,
+                w,
+                kernel,
+                dilation,
+            } => {
+                let (seq, in_ch) = (nodes[x].rows, nodes[x].cols);
+                let out_ch = node.cols;
+                let (sx, sw) = (seq * in_ch, kernel * in_ch * out_ch);
+                let wv = &values[w];
+                let sunk = to_store(w);
+                for s in live_blocks() {
+                    let xv = &values[x][s * sx..(s + 1) * sx];
+                    let d = &grad[s * size..(s + 1) * size];
+                    if wants(x) {
+                        let gx = &mut grads[x][s * sx..(s + 1) * sx];
+                        for t in 0..seq {
+                            let drow = &d[t * out_ch..(t + 1) * out_ch];
+                            for k in 0..kernel {
+                                let offset = k * dilation;
+                                if offset > t {
+                                    continue;
                                 }
-                                if wants(x) {
+                                let src = t - offset;
+                                for ic in 0..in_ch {
+                                    let wbase = (k * in_ch + ic) * out_ch;
                                     let mut acc = 0.0;
                                     for (&d, &ww) in drow.iter().zip(&wv[wbase..wbase + out_ch]) {
                                         acc += d * ww;
                                     }
-                                    grads[x][src * in_ch + ic] += acc;
+                                    gx[src * in_ch + ic] += acc;
+                                }
+                            }
+                        }
+                    }
+                    if !wants(w) {
+                        continue;
+                    }
+                    match sunk {
+                        // Each weight's sample sum from +0.0, terms in
+                        // time order, then added to the store.
+                        Some(id) => {
+                            let gw = store.grad_mut(id);
+                            for k in 0..kernel {
+                                let offset = k * dilation;
+                                for ic in 0..in_ch {
+                                    let wbase = (k * in_ch + ic) * out_ch;
+                                    for j in 0..out_ch {
+                                        let mut sum = 0.0;
+                                        for t in offset..seq {
+                                            sum +=
+                                                d[t * out_ch + j] * xv[(t - offset) * in_ch + ic];
+                                        }
+                                        gw[wbase + j] += sum;
+                                    }
+                                }
+                            }
+                        }
+                        None => {
+                            let gw = &mut grads[w][s * sw..(s + 1) * sw];
+                            for t in 0..seq {
+                                let drow = &d[t * out_ch..(t + 1) * out_ch];
+                                for k in 0..kernel {
+                                    let offset = k * dilation;
+                                    if offset > t {
+                                        continue;
+                                    }
+                                    let src = t - offset;
+                                    for ic in 0..in_ch {
+                                        let wbase = (k * in_ch + ic) * out_ch;
+                                        let xval = xv[src * in_ch + ic];
+                                        let gw = &mut gw[wbase..wbase + out_ch];
+                                        for (g, &d) in gw.iter_mut().zip(drow) {
+                                            *g += d * xval;
+                                        }
+                                    }
                                 }
                             }
                         }
@@ -900,27 +1324,25 @@ impl Tape {
                 }
             }
         }
-    }
-
-    /// Accumulates the gradients of parameter leaves into the store.
-    ///
-    /// Contributes nothing unless [`Tape::backward`] ran since the last
-    /// [`Tape::reset`]: a forward-only pass never hands back the stale
-    /// gradients of an earlier one.
-    pub fn param_grads(&self, store: &mut ParamStore) {
-        for (node, grad) in self.nodes[..self.grads_valid].iter().zip(&self.grads) {
-            if let Some((id, _)) = node.param {
-                store.accumulate_grad(id, grad);
-            }
+        // Every input of a node that ran has left its zero-filled state.
+        for p in node.op.inputs().into_iter().flatten() {
+            fresh[p] = false;
         }
     }
 }
 
+/// The parameter whose store gradient input `p`'s gradient goes straight
+/// into: a parameter leaf loaded once in this graph, read by exactly one
+/// op that can send it there.
+fn sink(nodes: &[Node], loads: &[u32], p: usize) -> Option<ParamId> {
+    let node = &nodes[p];
+    let (id, _) = node.param?;
+    (node.uses == 1 && node.sinkable && loads[id.index()] == 1).then_some(id)
+}
+
 /// Writes the transpose of the row-major `rows x cols` matrix `m` into
 /// `out`.
-fn transpose_into(m: &[f64], rows: usize, cols: usize, out: &mut Vec<f64>) {
-    out.clear();
-    out.resize(rows * cols, 0.0);
+fn transpose_into(m: &[f64], rows: usize, cols: usize, out: &mut [f64]) {
     for i in 0..rows {
         for j in 0..cols {
             out[j * rows + i] = m[i * cols + j];
@@ -928,38 +1350,63 @@ fn transpose_into(m: &[f64], rows: usize, cols: usize, out: &mut Vec<f64>) {
     }
 }
 
-/// The transpose of the row-major `rows x cols` matrix `m`: `m` itself for
-/// a single row or column (same memory layout). A parameter's transpose
-/// comes from `cache`, rebuilt only when the stamp it was built at is not
-/// the one `m` was loaded at; any other operand's is built in `scratch`.
-fn transposed<'a>(
-    (m, rows, cols): (&'a [f64], usize, usize),
-    param: Option<(ParamId, Stamp)>,
-    cache: &'a mut Vec<(Option<Stamp>, Vec<f64>)>,
+/// The transpose of the row-major `rows x cols` block `m`, built in
+/// `scratch`: `m` itself for a single row or column (same memory layout).
+fn transposed_block<'a>(
+    m: &'a [f64],
+    rows: usize,
+    cols: usize,
     scratch: &'a mut Vec<f64>,
 ) -> &'a [f64] {
     if rows == 1 || cols == 1 {
         return m;
     }
-    let Some((id, stamp)) = param else {
-        transpose_into(m, rows, cols, scratch);
-        return scratch;
+    scratch.clear();
+    scratch.resize(rows * cols, 0.0);
+    transpose_into(m, rows, cols, scratch);
+    scratch
+}
+
+/// [`transposed_block`] of a shared one-block operand, except that a
+/// parameter's transpose comes from `cache`, rebuilt only when the stamp
+/// it was built at is not the one `m` was loaded at.
+fn transposed_param<'a>(
+    (m, rows, cols): (&'a [f64], usize, usize),
+    param: Option<(ParamId, Stamp)>,
+    cache: &'a mut Vec<(Option<Stamp>, Vec<f64>)>,
+    scratch: &'a mut Vec<f64>,
+) -> &'a [f64] {
+    let Some((id, stamp)) = param.filter(|_| rows > 1 && cols > 1) else {
+        return transposed_block(m, rows, cols, scratch);
     };
     if cache.len() <= id.index() {
         cache.resize_with(id.index() + 1, Default::default);
     }
     let (built, t) = &mut cache[id.index()];
     if *built != Some(stamp) {
+        t.clear();
+        t.resize(rows * cols, 0.0);
         transpose_into(m, rows, cols, t);
         *built = Some(stamp);
     }
     t
 }
 
-/// `acc += product`, where `gemm` forms the product in `scratch` from
-/// `+0.0` first, so every element of `acc` receives one complete sum, as
-/// it would from a triple loop.
-fn add_product(scratch: &mut Vec<f64>, acc: &mut [f64], gemm: impl FnOnce(&mut [f64])) {
+/// `acc += product`, where `gemm` forms the product from `+0.0`, so every
+/// element of `acc` receives one complete sum, as it would from a triple
+/// loop. When `acc` still holds only the zeros `backward` filled it with
+/// (`in_place`), the product is formed in it directly: `+0.0 + sum` is
+/// `sum` bit for bit, as a sum formed from `+0.0` is never `-0.0`.
+fn product_into(
+    scratch: &mut Vec<f64>,
+    acc: &mut [f64],
+    in_place: bool,
+    gemm: impl FnOnce(&mut [f64]),
+) {
+    if in_place {
+        gemm(acc);
+        return;
+    }
     scratch.clear();
     scratch.resize(acc.len(), 0.0);
     gemm(scratch);
@@ -988,8 +1435,7 @@ mod tests {
         let mut tape = Tape::new();
         let p = tape.param(&store, id);
         let loss = f(&mut tape, p);
-        tape.backward(loss);
-        tape.param_grads(&mut store);
+        tape.backward(loss, &mut store);
         let analytic = store.grad(id).to_vec();
         // Numerical gradient.
         let eps = 1e-6;
@@ -1187,7 +1633,7 @@ mod tests {
             let w = tape.input(weights, ar, bc);
             let yw = tape.mul_elem(y, w);
             let loss = tape.mean_all(yw);
-            tape.backward(loss);
+            tape.backward(loss, &mut store);
             let (want_a, want_b) = triple_loop_grads(
                 tape.value(a),
                 tape.value(b),
@@ -1249,9 +1695,8 @@ mod tests {
         graph: Graph,
     ) -> Vec<Vec<u64>> {
         let loss = graph(tape, store, ids);
-        tape.backward(loss);
         store.zero_grads();
-        tape.param_grads(store);
+        tape.backward(loss, store);
         let values = tape.values[..tape.nodes.len()].iter().map(|v| bits(v));
         let grads = ids.iter().map(|&id| bits(store.grad(id)));
         values.chain(grads).collect()
@@ -1344,7 +1789,7 @@ mod tests {
         for _ in 0..2 {
             tape.reset();
             let loss = small_graph(&mut tape, &store, &ids);
-            tape.backward(loss);
+            tape.backward(loss, &mut store);
         }
         let t = tape.op_tally().unwrap();
         // Per pass: leaves x (2x4) and w (4x3); matmul, tanh and mul_elem
@@ -1363,17 +1808,141 @@ mod tests {
         assert_eq!(t.nodes.iter().sum::<u64>(), 12);
     }
 
+    /// A graph over every op and every way a parameter reaches one: a
+    /// shared right operand, a shared left operand, a broadcast add, bias
+    /// and gain, a convolution weight, a parameter read twice (a slab) and
+    /// one loaded twice (the GRU's pattern). `xs` holds the samples'
+    /// inputs stacked, 12 values each.
+    fn every_op_graph(
+        tape: &mut Tape,
+        store: &ParamStore,
+        ids: &[ParamId],
+        xs: &[f64],
+    ) -> TensorRef {
+        let x = tape.input(xs, 3, 4);
+        let w = tape.param(store, ids[0]); // 4x3, shared right operand
+        let h = tape.matmul(x, w);
+        let b = tape.param(store, ids[1]); // 1x3 bias
+        let h = tape.add_row_broadcast(h, b);
+        let h = tape.relu(h);
+        let m = tape.param(store, ids[2]); // 3x3, shared left operand
+        let h = tape.matmul(m, h);
+        let pos = tape.param(store, ids[3]); // 3x3, broadcast add
+        let h = tape.add(h, pos);
+        let n = tape.layer_norm_rows(h);
+        let g = tape.param(store, ids[4]); // 1x3 gain
+        let n = tape.mul_row_broadcast(n, g);
+        let ht = tape.transpose(n);
+        let scores = tape.matmul(n, ht); // per block
+        let scores = tape.scale(scores, 0.5);
+        let attn = tape.softmax_rows(scores);
+        let ctx = tape.matmul(attn, n); // per block
+        let cw = tape.param(store, ids[5]); // conv 2*3 x 2
+        let conv = tape.causal_conv1d(ctx, cw, 2, 1);
+        let conv = tape.tanh(conv);
+        let pooled = tape.avg_pool_rows(conv, 2); // 2x2
+        let flat = tape.reshape(pooled, 1, 4);
+        let twice = tape.param(store, ids[6]); // 1x4, read by two ops
+        let a = tape.mul_elem(flat, twice);
+        let a = tape.sub(a, twice);
+        let v = tape.param(store, ids[7]); // 4x2, loaded twice
+        let y1 = tape.matmul(a, v);
+        let v = tape.param(store, ids[7]);
+        let y2 = tape.matmul(flat, v);
+        let y = tape.concat_cols(y1, y2);
+        let y = tape.sigmoid(y);
+        let t = tape.input(&vec![0.25; y_len(xs)], 1, 4);
+        let d = tape.sub(y, t);
+        let sq = tape.mul_elem(d, d);
+        let sq = tape.scale(sq, 1.0 / 3.0);
+        tape.mean_all(sq)
+    }
+
+    /// Four target values per sample of `xs`.
+    fn y_len(xs: &[f64]) -> usize {
+        xs.len() / 12 * 4
+    }
+
+    fn every_op_store() -> (ParamStore, Vec<ParamId>) {
+        let mut store = ParamStore::new(11);
+        let ids = vec![
+            store.add(4, 3),
+            store.add(1, 3),
+            store.add(3, 3),
+            store.add(3, 3),
+            store.add_raw(vec![1.0, 0.5, -1.5], 1, 3),
+            store.add(6, 2),
+            store.add(1, 4),
+            store.add(4, 2),
+        ];
+        (store, ids)
+    }
+
     #[test]
-    fn forward_only_pass_after_backward_contributes_no_gradients() {
-        let mut store = ParamStore::new(6);
-        let ids = [store.add(4, 3)];
-        let mut tape = Tape::new();
-        let loss = small_graph(&mut tape, &store, &ids);
-        tape.backward(loss);
-        // A validation or inference pass on the same tape: no backward.
-        tape.reset();
-        small_graph(&mut tape, &store, &ids);
-        tape.param_grads(&mut store);
-        assert!(store.grad(ids[0]).iter().all(|&g| g == 0.0));
+    fn a_blocked_graph_equals_one_graph_per_sample() {
+        // Sample 1 drives the first dense layer's pre-activations far
+        // negative: its ReLU is dead, so its gradient there is all zero
+        // and the -inf in its input must never meet that zero.
+        let samples: [[f64; 12]; 4] = [
+            [
+                0.3, -0.7, 1.1, 0.2, -1.3, 0.8, 0.05, 0.6, 0.9, -0.4, 0.0, 1.2,
+            ],
+            [
+                f64::NEG_INFINITY,
+                -1e300,
+                -1e300,
+                -1e300,
+                -1e300,
+                -1e300,
+                -1e300,
+                -1e300,
+                -1e300,
+                -1e300,
+                -1e300,
+                -1e300,
+            ],
+            [
+                1.5, 0.25, -0.5, 2.0, 0.0, 0.0, 0.75, -1.25, 0.5, 0.5, -0.5, 0.1,
+            ],
+            [
+                -0.2, 0.4, 0.6, -0.8, 1.0, -1.2, 1.4, -1.6, 1.8, -2.0, 2.2, -2.4,
+            ],
+        ];
+        let (mut store, ids) = every_op_store();
+        // The dead sample needs the first layer to map its input negative.
+        store.restore(&{
+            let mut v = store.snapshot();
+            v[0] = vec![0.5, 0.2, 0.3, 0.1, 0.4, 0.6, 0.2, 0.3, 0.1, 0.6, 0.2, 0.4];
+            v
+        });
+        // One graph per sample, gradients added sample after sample.
+        let mut want_values = Vec::new();
+        store.zero_grads();
+        for x in &samples {
+            let mut tape = Tape::new();
+            let loss = every_op_graph(&mut tape, &store, &ids, x);
+            want_values.push(bits(tape.value(loss)));
+            tape.backward(loss, &mut store);
+        }
+        let want: Vec<Vec<u64>> = ids.iter().map(|&id| bits(store.grad(id))).collect();
+        assert!(want
+            .iter()
+            .flatten()
+            .all(|&g| f64::from_bits(g).is_finite()));
+        for chunk in [1, 2, 3, 4] {
+            store.zero_grads();
+            let mut tape = Tape::new();
+            let mut values = Vec::new();
+            for part in samples.chunks(chunk) {
+                tape.reset();
+                let xs: Vec<f64> = part.iter().flatten().copied().collect();
+                let loss = every_op_graph(&mut tape, &store, &ids, &xs);
+                values.extend(tape.value(loss).iter().map(|v| vec![v.to_bits()]));
+                tape.backward(loss, &mut store);
+            }
+            let got: Vec<Vec<u64>> = ids.iter().map(|&id| bits(store.grad(id))).collect();
+            assert_eq!(values, want_values, "losses, chunks of {chunk}");
+            assert_eq!(got, want, "parameter gradients, chunks of {chunk}");
+        }
     }
 }

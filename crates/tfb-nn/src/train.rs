@@ -51,6 +51,13 @@ impl Default for TrainConfig {
     }
 }
 
+/// Samples per tape graph, in training and in validation. Each graph
+/// holds this many samples' activations and gradients at once, so the
+/// tape's memory grows with it (one PatchTST sample: ~150 KB), while the
+/// per-node bookkeeping it saves stops paying off after a few samples;
+/// DESIGN.md ("The training tape") has the measurements behind 4.
+pub const CHUNK: usize = 4;
+
 /// Runs the training loop over (input, target) pairs with a user-supplied
 /// forward function.
 #[derive(Debug, Clone, Copy)]
@@ -64,8 +71,14 @@ impl Trainer {
         Trainer { config }
     }
 
-    /// Fits the parameters in `store`. `forward` maps one input vector to a
-    /// `1 x target_len` tensor; the loss is the MSE against the target.
+    /// Fits the parameters in `store`. `forward` is written for one
+    /// sample and receives a chunk of them: every input of the chunk,
+    /// stacked (all inputs have one length), to load with
+    /// [`Tape::input`], which makes one block per sample. It returns one
+    /// `1 x target_len` block per sample; the loss is the MSE against the
+    /// target. Each mini-batch runs as graphs of up to [`CHUNK`] samples,
+    /// and the parameters get exactly the gradients one graph per sample
+    /// would give them.
     ///
     /// Returns the best validation loss reached.
     pub fn fit(
@@ -74,6 +87,18 @@ impl Trainer {
         inputs: &[Vec<f64>],
         targets: &[Vec<f64>],
         forward: impl Fn(&mut Tape, &ParamStore, &[f64]) -> TensorRef,
+    ) -> Result<f64> {
+        self.fit_chunked(store, inputs, targets, forward, CHUNK)
+    }
+
+    /// [`Trainer::fit`] on graphs of up to `chunk` samples.
+    pub(crate) fn fit_chunked(
+        &self,
+        store: &mut ParamStore,
+        inputs: &[Vec<f64>],
+        targets: &[Vec<f64>],
+        forward: impl Fn(&mut Tape, &ParamStore, &[f64]) -> TensorRef,
+        chunk: usize,
     ) -> Result<f64> {
         let n = inputs.len();
         if n == 0 || targets.len() != n {
@@ -86,7 +111,14 @@ impl Trainer {
         if clock.armed {
             tape.count_ops();
         }
-        let fitted = self.fit_on(&mut tape, &mut clock, store, inputs, targets, forward);
+        let fitted = self.fit_on(
+            &mut tape,
+            &mut clock,
+            store,
+            (inputs, targets),
+            forward,
+            chunk.max(1),
+        );
         // Once per fit, like the phase clock's totals.
         if let Some(tally) = tape.op_tally() {
             tally.add_to_counters();
@@ -100,9 +132,9 @@ impl Trainer {
         tape: &mut Tape,
         clock: &mut PhaseClock,
         store: &mut ParamStore,
-        inputs: &[Vec<f64>],
-        targets: &[Vec<f64>],
+        (inputs, targets): (&[Vec<f64>], &[Vec<f64>]),
         forward: impl Fn(&mut Tape, &ParamStore, &[f64]) -> TensorRef,
+        chunk: usize,
     ) -> Result<f64> {
         let cfg = self.config;
         let n = inputs.len();
@@ -117,6 +149,8 @@ impl Trainer {
         let mut stale = 0usize;
         let mut diverging = 0usize;
         let n_batches = n_train.div_ceil(cfg.batch_size.max(1)).max(1);
+        // A chunk's inputs and targets, stacked.
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
         for epoch in 0..cfg.epochs.max(1) {
             let epoch_span = tfb_obs::span!("epoch");
             // Fisher-Yates shuffle.
@@ -126,20 +160,26 @@ impl Trainer {
             }
             for (b, batch) in order.chunks(cfg.batch_size.max(1)).enumerate() {
                 store.zero_grads();
-                for &i in batch {
+                for part in batch.chunks(chunk) {
                     tape.reset();
+                    xs.clear();
+                    ys.clear();
+                    for &i in part {
+                        xs.extend_from_slice(&inputs[i]);
+                        ys.extend_from_slice(&targets[i]);
+                    }
                     let start = clock.now();
-                    let pred = forward(tape, store, &inputs[i]);
+                    let pred = forward(tape, store, &xs);
                     let (pr, pc) = tape.shape(pred);
-                    debug_assert_eq!(pr * pc, targets[i].len(), "forward output shape");
-                    let t = tape.input(&targets[i], pr, pc);
+                    debug_assert_eq!(pr * pc * part.len(), ys.len(), "forward output shape");
+                    let t = tape.input(&ys, pr, pc);
                     let d = tape.sub(pred, t);
                     let sq = tape.mul_elem(d, d);
+                    // The mini-batch, not the chunk, scales each sample.
                     let scaled = tape.scale(sq, 1.0 / batch.len() as f64);
                     let loss = tape.mean_all(scaled);
                     let start = clock.lap(Phase::Forward, start);
-                    tape.backward(loss);
-                    tape.param_grads(store);
+                    tape.backward(loss, store);
                     clock.lap(Phase::Backward, start);
                 }
                 // Gradient-norm gauge, sampled once per epoch (last
@@ -155,28 +195,34 @@ impl Trainer {
                 clock.lap(Phase::Optimizer, start);
             }
             // Validation (falls back to training loss when no hold-out).
-            let eval_range = if n_val > 0 {
-                n_train..n
+            let eval: Vec<usize> = if n_val > 0 {
+                (n_train..n).collect()
             } else {
-                0..n_train.min(64)
+                (0..n_train.min(64)).collect()
             };
-            let n_eval = eval_range.len();
             let start = clock.now();
             let mut val_loss = 0.0;
-            for i in eval_range {
+            for part in eval.chunks(chunk) {
                 tape.reset();
-                let pred = forward(tape, store, &inputs[i]);
-                let p = tape.value(pred);
-                let mse: f64 = p
-                    .iter()
-                    .zip(&targets[i])
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f64>()
-                    / p.len() as f64;
-                val_loss += mse;
+                xs.clear();
+                for &i in part {
+                    xs.extend_from_slice(&inputs[i]);
+                }
+                let pred = forward(tape, store, &xs);
+                let values = tape.value(pred);
+                let len = values.len() / part.len();
+                for (p, &i) in values.chunks_exact(len).zip(part) {
+                    let mse: f64 = p
+                        .iter()
+                        .zip(&targets[i])
+                        .map(|(a, b)| (a - b) * (a - b))
+                        .sum::<f64>()
+                        / p.len() as f64;
+                    val_loss += mse;
+                }
             }
             clock.lap(Phase::Forward, start);
-            val_loss /= n_eval.max(1) as f64;
+            val_loss /= eval.len().max(1) as f64;
             epoch_span
                 .record("epoch", epoch as f64)
                 .record("val_loss", val_loss)
@@ -230,7 +276,7 @@ impl Trainer {
 enum Phase {
     /// Training and validation forward passes, loss head included.
     Forward,
-    /// `backward` plus `param_grads`.
+    /// `backward`, parameter gradients included.
     Backward,
     /// The Adam step.
     Optimizer,

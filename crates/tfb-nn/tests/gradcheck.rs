@@ -46,8 +46,7 @@ proptest! {
         // Analytic gradients.
         let mut tape = Tape::new();
         let loss = forward(&mut tape, &store, w1, w2, &input);
-        tape.backward(loss);
-        tape.param_grads(&mut store);
+        tape.backward(loss, &mut store);
         let analytic1 = store.grad(w1).to_vec();
         let analytic2 = store.grad(w2).to_vec();
         // Numerical gradients.
@@ -95,8 +94,7 @@ proptest! {
         };
         let mut tape = Tape::new();
         let loss = run(&mut tape, &store);
-        tape.backward(loss);
-        tape.param_grads(&mut store);
+        tape.backward(loss, &mut store);
         let analytic = store.grad(w).to_vec();
         let eps = 1e-6;
         for i in 0..6 {
