@@ -13,6 +13,7 @@ use crate::components::{SeriesBuilder, TrendKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tfb_data::{Domain, Frequency, UniSeries};
+use tfb_math::par::par_map;
 
 /// Per-frequency specification: one row of Table 4.
 #[derive(Debug, Clone, Copy)]
@@ -87,6 +88,24 @@ pub struct UnivariateArchive {
     pub series: Vec<UniSeries>,
 }
 
+/// Series `i` of group `gi`, drawn `len` long: everything but the length
+/// comes from its own seed.
+fn series_of(seed: u64, gi: usize, i: usize, len: usize) -> UniSeries {
+    let spec = &SPECS[gi];
+    let archetype = ARCHETYPES[i % ARCHETYPES.len()];
+    let domain = DOMAINS[(i / ARCHETYPES.len()) % DOMAINS.len()];
+    // Make sure every series supports its evaluation windows: fixed
+    // forecasting uses H = 1.25 F of history plus F.
+    let min_len = (spec.horizon as f64 * 2.5).ceil() as usize + 8;
+    let len = len.max(min_len);
+    let series_seed = seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((gi * 100_000 + i) as u64);
+    let values = build_archetype(archetype, spec.frequency, len, series_seed);
+    let name = format!("{}{:04}", freq_prefix(spec.frequency), i);
+    UniSeries::new(name, spec.frequency, domain, values).expect("generated series is nonempty")
+}
+
 /// The six characteristic archetypes series are drawn from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Archetype {
@@ -129,30 +148,21 @@ impl UnivariateArchive {
     /// yields ~400 series — large enough for stable per-characteristic
     /// aggregates, small enough to evaluate 21 methods in CI).
     pub fn generate(divisor: usize, seed: u64) -> UnivariateArchive {
+        // Only the lengths come from the shared RNG: draw them all first,
+        // in the sequential order, then build each series from its own
+        // seed on the worker pool.
         let divisor = divisor.max(1);
-        let mut series = Vec::new();
         let mut rng = StdRng::seed_from_u64(seed);
+        let mut plan = Vec::new();
         for (gi, spec) in SPECS.iter().enumerate() {
             let count = (spec.full_count / divisor).max(3);
             for i in 0..count {
-                let archetype = ARCHETYPES[i % ARCHETYPES.len()];
-                let domain = DOMAINS[(i / ARCHETYPES.len()) % DOMAINS.len()];
                 let len = rng.gen_range(spec.len_range.0..=spec.len_range.1);
-                // Make sure every series supports its evaluation windows:
-                // fixed forecasting uses H = 1.25 F of history plus F.
-                let min_len = (spec.horizon as f64 * 2.5).ceil() as usize + 8;
-                let len = len.max(min_len);
-                let series_seed = seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add((gi * 100_000 + i) as u64);
-                let values = build_archetype(archetype, spec.frequency, len, series_seed);
-                let name = format!("{}{:04}", freq_prefix(spec.frequency), i);
-                series.push(
-                    UniSeries::new(name, spec.frequency, domain, values)
-                        .expect("generated series is nonempty"),
-                );
+                plan.push((gi, i, len));
             }
         }
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let series = par_map(&plan, workers, |&(gi, i, len)| series_of(seed, gi, i, len));
         UnivariateArchive { series }
     }
 
@@ -228,6 +238,51 @@ fn build_archetype(a: Archetype, freq: Frequency, len: usize, seed: u64) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `generate` as it ran before the worker pool: one loop drawing each
+    /// length and building its series in turn.
+    fn generate_sequentially(divisor: usize, seed: u64) -> UnivariateArchive {
+        let divisor = divisor.max(1);
+        let mut series = Vec::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (gi, spec) in SPECS.iter().enumerate() {
+            let count = (spec.full_count / divisor).max(3);
+            for i in 0..count {
+                let archetype = ARCHETYPES[i % ARCHETYPES.len()];
+                let domain = DOMAINS[(i / ARCHETYPES.len()) % DOMAINS.len()];
+                let len = rng.gen_range(spec.len_range.0..=spec.len_range.1);
+                let min_len = (spec.horizon as f64 * 2.5).ceil() as usize + 8;
+                let len = len.max(min_len);
+                let series_seed = seed
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add((gi * 100_000 + i) as u64);
+                let values = build_archetype(archetype, spec.frequency, len, series_seed);
+                let name = format!("{}{:04}", freq_prefix(spec.frequency), i);
+                series.push(
+                    UniSeries::new(name, spec.frequency, domain, values)
+                        .expect("generated series is nonempty"),
+                );
+            }
+        }
+        UnivariateArchive { series }
+    }
+
+    #[test]
+    fn pooled_generation_equals_the_sequential_loop() {
+        for (divisor, seed) in [(48, 3), (48, 11), (20, 7), (400, 5), (1000, 0), (1, 7)] {
+            let want = generate_sequentially(divisor, seed);
+            let got = UnivariateArchive::generate(divisor, seed);
+            assert_eq!(got.series.len(), want.series.len(), "{divisor}, {seed}");
+            for (g, w) in got.series.iter().zip(&want.series) {
+                assert_eq!(
+                    (&g.name, g.frequency, g.domain),
+                    (&w.name, w.frequency, w.domain)
+                );
+                let bits = |s: &UniSeries| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert!(bits(g) == bits(w), "{divisor}, {seed}: {} differs", g.name);
+            }
+        }
+    }
 
     #[test]
     fn full_archive_counts_match_table4() {

@@ -5,8 +5,8 @@
 //! ([`regression`]), fast Fourier transforms ([`fft`]), Loess smoothing and
 //! STL-style seasonal decomposition ([`loess`], [`stl`]), descriptive
 //! statistics ([`stats`]), autocorrelation ([`acf`]), symmetric
-//! eigendecomposition ([`eigen`]) and principal component analysis
-//! ([`pca`]).
+//! eigendecomposition ([`eigen`]), principal component analysis
+//! ([`pca`]) and the worker pool the workspace shares ([`par::par_map`]).
 //!
 //! The crate deliberately has no third-party dependencies so that the rest
 //! of the workspace rests on a fully auditable numeric base.
@@ -21,6 +21,7 @@ pub mod fft;
 pub mod kernel;
 pub mod loess;
 pub mod matrix;
+pub mod par;
 pub mod pca;
 pub mod regression;
 pub mod stats;
