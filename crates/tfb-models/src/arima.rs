@@ -108,7 +108,59 @@ fn integrate(mut forecast: Vec<f64>, tails: &[f64]) -> Vec<f64> {
     forecast
 }
 
+/// Stage-1 innovations of the differenced series `w`: zero for the first
+/// `m` points, then the residuals of a long AR(`m`) fit by OLS.
+fn innovations(w: &[f64], m: usize) -> Innovations {
+    let n = w.len();
+    let rows = n - m;
+    let mut x = Matrix::zeros(rows, m);
+    let mut y = Vec::with_capacity(rows);
+    for r in 0..rows {
+        let t = r + m;
+        y.push(w[t]);
+        for i in 0..m {
+            x[(r, i)] = w[t - 1 - i];
+        }
+    }
+    let long_ar =
+        ols(&x, &y, true).map_err(|e| ModelError::Numerical(format!("stage-1 AR: {e}")))?;
+    let mut eps = vec![0.0; m];
+    eps.extend_from_slice(&long_ar.residuals);
+    Ok(eps)
+}
+
+/// The stage-1 innovations of each `(d, m)` a search has needed, errors
+/// included: they depend on nothing else, and one series has only a few
+/// distinct pairs among its candidates.
+#[derive(Default)]
+struct Stage1Cache(Vec<((usize, usize), Innovations)>);
+
+/// What [`innovations`] returns.
+type Innovations = Result<Vec<f64>>;
+
+impl Stage1Cache {
+    fn get(&mut self, w: &[f64], d: usize, m: usize) -> Innovations {
+        if let Some((_, eps)) = self.0.iter().find(|(key, _)| *key == (d, m)) {
+            return eps.clone();
+        }
+        let eps = innovations(w, m);
+        self.0.push(((d, m), eps.clone()));
+        eps
+    }
+}
+
 fn fit(xs: &[f64], p: usize, d: usize, q: usize) -> Result<FittedArima> {
+    fit_cached(xs, p, d, q, &mut Stage1Cache::default())
+}
+
+/// [`fit`] with its stage-1 innovations from `cache`.
+fn fit_cached(
+    xs: &[f64],
+    p: usize,
+    d: usize,
+    q: usize,
+    cache: &mut Stage1Cache,
+) -> Result<FittedArima> {
     if xs.len() < p.max(q) * 3 + d + 12 {
         return Err(ModelError::InsufficientData("arima history too short"));
     }
@@ -116,24 +168,7 @@ fn fit(xs: &[f64], p: usize, d: usize, q: usize) -> Result<FittedArima> {
     let n = w.len();
     // Stage 1: long AR for innovation estimates.
     let m = (p.max(q) + 4).min(n / 4).max(1);
-    let eps = {
-        let rows = n - m;
-        let mut x = Matrix::zeros(rows, m);
-        let mut y = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let t = r + m;
-            y.push(w[t]);
-            for i in 0..m {
-                x[(r, i)] = w[t - 1 - i];
-            }
-        }
-        let long_ar =
-            ols(&x, &y, true).map_err(|e| ModelError::Numerical(format!("stage-1 AR: {e}")))?;
-        // Innovations: zero for the first m points, residuals afterwards.
-        let mut eps = vec![0.0; m];
-        eps.extend_from_slice(&long_ar.residuals);
-        eps
-    };
+    let eps = cache.get(&w, d, m)?;
     // Stage 2: regress w_t on p lags of w and q lags of eps.
     let start = p.max(q);
     let rows = n - start;
@@ -223,13 +258,14 @@ fn forecast_fixed(xs: &[f64], p: usize, d: usize, q: usize, horizon: usize) -> R
 
 fn forecast_auto(xs: &[f64], horizon: usize) -> Result<Vec<f64>> {
     let mut best: Option<(f64, FittedArima)> = None;
+    let mut stage1 = Stage1Cache::default();
     for d in 0..=1usize {
         for p in 0..=2usize {
             for q in 0..=2usize {
                 if p == 0 && q == 0 && d == 0 {
                     continue;
                 }
-                if let Ok(f) = fit(xs, p, d, q) {
+                if let Ok(f) = fit_cached(xs, p, d, q, &mut stage1) {
                     let aic = f.aic();
                     if best.as_ref().is_none_or(|(b, _)| aic < *b) {
                         best = Some((aic, f));
@@ -303,6 +339,49 @@ mod tests {
         let f = Arima::auto().forecast(&uni(xs), 10).unwrap();
         assert_eq!(f.len(), 10);
         assert!(f.iter().all(|v| v.is_finite()));
+    }
+
+    fn fit_bits(r: &Result<FittedArima>) -> std::result::Result<Vec<u64>, ModelError> {
+        let f = r.as_ref().map_err(Clone::clone)?;
+        let scalars = [f.intercept, f.sigma2, f.aic()];
+        let all = scalars
+            .iter()
+            .chain(&f.phi)
+            .chain(&f.theta)
+            .chain(&f.w)
+            .chain(&f.eps);
+        Ok(all.map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn cached_stage1_fits_equal_fresh_fits_for_every_candidate() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let walk: Vec<f64> = (0..300)
+            .scan(0.0, |lvl, _| {
+                *lvl += rng.gen_range(-1.0..1.0);
+                Some(*lvl)
+            })
+            .collect();
+        let series = [
+            ar1(16, 0.5, 1),                           // short: most candidates too short
+            ar1(40, 0.7, 2),                           // n / 4 caps the long AR
+            ar1(400, -0.4, 3),                         // long
+            vec![3.0; 60],                             // constant: stage 1 is singular
+            (0..80).map(|t| 0.5 * t as f64).collect(), // differences constant
+            walk,                                      // needs differencing
+        ];
+        for (k, xs) in series.iter().enumerate() {
+            let mut cache = Stage1Cache::default();
+            for d in 0..=1 {
+                for p in 0..=2 {
+                    for q in 0..=2 {
+                        let cached = fit_bits(&fit_cached(xs, p, d, q, &mut cache));
+                        let fresh = fit_bits(&fit(xs, p, d, q));
+                        assert_eq!(cached, fresh, "series {k}: ({p}, {d}, {q})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
