@@ -313,9 +313,27 @@ fn run_math(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
                 out[0]
             })
         }
+        "gemm_tn_segments" => {
+            // A weight gradient leaving the tape: `CHUNK` samples of
+            // `depth` rows each, one `rows × n` sum per sample added into
+            // one shared output, as for a parameter's store gradient.
+            let (m, seg) = (cell.rows, depth);
+            let samples = tfb_nn::train::CHUNK;
+            let lhs = data(samples * seg * m, (seg * 31 + n) as u64, true);
+            let rhs = data(samples * seg * n, (seg * 37 + n) as u64, false);
+            let segments: Vec<_> = (0..samples).map(|s| s * seg..(s + 1) * seg).collect();
+            let out = std::cell::RefCell::new(data(m * n, n as u64 + 9, false));
+            Box::new(move || {
+                let mut out = out.borrow_mut();
+                let (lhs, rhs) = (black_box(&lhs), black_box(&rhs));
+                kernel::gemm_tn_segments(lhs, m, rhs, n, &segments, black_box(&mut out), 0);
+                out[0]
+            })
+        }
         other => {
             return Err(format!(
-                "{}: unknown math workload {other:?} (dot|dot_skip|axpy|gemm|gemm_tn)",
+                "{}: unknown math workload {other:?} \
+                 (dot|dot_skip|axpy|gemm|gemm_tn|gemm_tn_segments)",
                 cell.id
             ))
         }
@@ -348,9 +366,15 @@ fn run_math(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
         fast_ns.push(f);
         speedup.push(s / f.max(1e-9));
     }
+    // The time rows are per call: record the calls each sample made, so
+    // the gate's noise floor sees what a sample timed.
+    let per_call = |quantity, samples: &[f64]| MeasurementRow {
+        calls: calls as u64,
+        ..measurement(suite, cell, quantity, "ns", samples)
+    };
     Ok(vec![
-        measurement(suite, cell, "scalar", "ns", &scalar_ns),
-        measurement(suite, cell, "unrolled", "ns", &fast_ns),
+        per_call("scalar", &scalar_ns),
+        per_call("unrolled", &fast_ns),
         measurement(suite, cell, "speedup", "x", &speedup),
     ])
 }

@@ -479,6 +479,7 @@ mod tests {
             method: method.into(),
             characteristic: ch.into(),
             horizon: 24,
+            calls: 1,
         };
         let mut h = RunHistory::open(&root).unwrap();
         let m1 = Manifest {

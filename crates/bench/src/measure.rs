@@ -84,6 +84,7 @@ pub fn measurement(
         method: cell.method.clone(),
         characteristic: cell.characteristic.clone(),
         horizon: cell.horizon as u64,
+        calls: 1,
     }
 }
 

@@ -29,7 +29,9 @@
 //! environment, not direction-biased; the gate uses the **median** across
 //! baselines and a separate (much tighter) tolerance. Phases whose
 //! baseline total is under a ~10µs noise floor are skipped entirely —
-//! percentage deltas of near-zero timings are meaningless. Health
+//! percentage deltas of near-zero timings are meaningless; a measurement
+//! that reports time per call is floored on what one sample timed, its
+//! per-call min times the calls the sample made. Health
 //! regressions (NaN or diverged cells in the candidate) fail the gate
 //! unconditionally: there is no tolerance for wrong.
 
@@ -179,6 +181,7 @@ pub fn parse_manifest(text: &str) -> Result<ParsedManifest, String> {
                 method: get_str(row, "method"),
                 characteristic: get_str(row, "characteristic"),
                 horizon: get_u64(row, "horizon").unwrap_or(0),
+                calls: get_u64(row, "calls").unwrap_or(1),
             });
         }
     }
@@ -1021,8 +1024,10 @@ pub fn gate(baselines: &[&Manifest], candidate: &Manifest, tol: &GateTolerances)
             let Some(base_min) = mins.iter().copied().reduce(f64::min) else {
                 continue; // New cell: nothing to compare against.
             };
+            // The floor applies to what one sample timed: a per-call row
+            // times `calls` calls per sample.
             match time_unit_ns(&row.unit, base_min) {
-                Some(ns) if ns >= PHASE_NOISE_FLOOR_NS as f64 => {}
+                Some(ns) if ns * row.calls.max(1) as f64 >= PHASE_NOISE_FLOOR_NS as f64 => {}
                 _ => continue,
             }
             check(
@@ -1170,6 +1175,7 @@ mod tests {
             method: "LR".into(),
             characteristic: "trend".into(),
             horizon: 24,
+            calls: 1,
         }
     }
 
@@ -1309,6 +1315,28 @@ mod tests {
         cand.measurements[0].min = 9_000.0; // "10x" of sub-floor noise
         let report = gate(&[&base], &cand, &GateTolerances::default());
         assert!(report.passed(), "{:?}", report.failures);
+    }
+
+    #[test]
+    fn gate_applies_the_floor_to_what_a_per_call_sample_timed() {
+        // 900 ns per call over 200 calls: each sample timed 180 µs, well
+        // above the floor, so a 2x slowdown trips the gate.
+        let mut base = mini_manifest(1_000_000, 1.0);
+        base.measurements = vec![meas("math/kernels/gemm-7x24x24", "unrolled", "ns", 900.0)];
+        base.measurements[0].calls = 200;
+        let json = base.to_json();
+        assert!(json.contains("\"calls\": 200"), "{json}");
+        let parsed = parse_manifest(&json).expect("parses");
+        assert_eq!(parsed.manifest.measurements[0].calls, 200);
+        assert_eq!(parsed.manifest.to_json(), json);
+        let mut cand = base.clone();
+        cand.measurements[0].min = 1_800.0;
+        let report = gate(&[&base], &cand, &GateTolerances::default());
+        assert!(!report.passed(), "a per-call row must be gated");
+        cand.measurements[0].min = 950.0;
+        assert!(gate(&[&base], &cand, &GateTolerances::default()).passed());
+        // Rows without calls read one call per sample.
+        assert!(!mini_manifest(1, 1.0).to_json().contains("calls"));
     }
 
     #[test]

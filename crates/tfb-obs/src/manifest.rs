@@ -144,6 +144,11 @@ pub struct MeasurementRow {
     pub characteristic: String,
     /// Forecast horizon (0 for non-eval engines).
     pub horizon: u64,
+    /// Calls each sample timed back to back, when a row reports time per
+    /// call (`math/kernels`); 1 when a sample is one run of the cell.
+    /// What a sample timed is `min × calls`, the quantity the gate's
+    /// noise floor applies to.
+    pub calls: u64,
 }
 
 /// What a numerical-health probe observed.
@@ -515,7 +520,11 @@ impl Manifest {
                 json_str(&mut out, &r.method);
                 out.push_str(", \"characteristic\": ");
                 json_str(&mut out, &r.characteristic);
-                out.push_str(&format!(", \"horizon\": {}}}", r.horizon));
+                out.push_str(&format!(", \"horizon\": {}", r.horizon));
+                if r.calls > 1 {
+                    out.push_str(&format!(", \"calls\": {}", r.calls));
+                }
+                out.push('}');
             }
             out.push_str("\n  ],\n");
         }
@@ -938,6 +947,7 @@ mod tests {
             method: "LR".into(),
             characteristic: "trend".into(),
             horizon: 24,
+            calls: 1,
         }];
         let with = m.to_json();
         assert!(

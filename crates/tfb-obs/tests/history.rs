@@ -88,6 +88,7 @@ fn harness_manifest() -> Manifest {
             method: "LR".into(),
             characteristic: "trend".into(),
             horizon: 24,
+            calls: 1,
         },
         MeasurementRow {
             name: "eval/etth1/LR-h24".into(),
@@ -104,6 +105,7 @@ fn harness_manifest() -> Manifest {
             method: "LR".into(),
             characteristic: "trend".into(),
             horizon: 24,
+            calls: 1,
         },
     ];
     m
