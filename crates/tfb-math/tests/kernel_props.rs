@@ -3,7 +3,9 @@
 //! non-multiple-of-4 tails, exact zeros (the GEMM zero-skip), and
 //! non-finite right-hand values the skip semantics exist for. The GEMM
 //! tiles and their transposed-left entry are checked against the plain
-//! triple loop, with `-0.0` outputs that only a true skip preserves.
+//! triple loop, with `-0.0` outputs that only a true skip preserves, and
+//! the segmented reductions (one sum from `+0.0` per segment, added to its
+//! output in order) against their loops.
 
 use tfb_math::kernel::{self, KernelPath};
 use tfb_math::Matrix;
@@ -362,6 +364,158 @@ fn full_matmul_and_matvec_match_across_paths() {
                 &format!("matmul {m}x{k}x{n} {path:?}"),
             );
             assert_bits_eq(&want_mv, &got_mv, &format!("matvec {m}x{k} {path:?}"));
+        }
+    }
+}
+
+/// The segmented kernel's reference: for every segment `g`, `out_g +
+/// (+0.0 + Σ_{r ∈ g} lhs[r]ᵀ · rhs[r])`, terms in row order, zero
+/// left-hand terms skipped.
+fn segmented_triple_loop(
+    lhs: &[f64],
+    m: usize,
+    rhs: &[f64],
+    n: usize,
+    segments: &[std::ops::Range<usize>],
+    out: &mut [f64],
+    stride: usize,
+) {
+    for (g, seg) in segments.iter().enumerate() {
+        for k in 0..m {
+            for j in 0..n {
+                let mut sum = 0.0;
+                for r in seg.clone() {
+                    let a = lhs[r * m + k];
+                    if a != 0.0 {
+                        sum += a * rhs[r * n + j];
+                    }
+                }
+                out[g * stride + k * n + j] += sum;
+            }
+        }
+    }
+}
+
+/// Segments of the given lengths, back to back.
+fn segments_of(lens: &[usize]) -> Vec<std::ops::Range<usize>> {
+    let mut start = 0;
+    lens.iter()
+        .map(|&len| {
+            start += len;
+            start - len..start
+        })
+        .collect()
+}
+
+/// Operands for segments of `lens` rows: left-hand values with `±0.0`
+/// mixed in, every third row all zeros (signs alternating) with `±inf`
+/// and NaN on the right-hand side of those rows, so that a term the
+/// reference skips poisons any kernel that forms it.
+fn segmented_operands(rng: &mut Rng, lens: &[usize], m: usize, n: usize) -> (Vec<f64>, Vec<f64>) {
+    let rows: usize = lens.iter().sum();
+    let mut lhs = rng.vec(rows * m, true);
+    let mut rhs = rng.vec(rows * n, false);
+    for (i, v) in lhs.iter_mut().enumerate() {
+        if *v == 0.0 && i % 2 == 1 {
+            *v = -0.0;
+        }
+    }
+    for r in (0..rows).step_by(3) {
+        for (k, v) in lhs[r * m..(r + 1) * m].iter_mut().enumerate() {
+            *v = if k % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        for (j, v) in rhs[r * n..(r + 1) * n].iter_mut().enumerate() {
+            *v = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][j % 3];
+        }
+    }
+    (lhs, rhs)
+}
+
+fn check_segmented(rng: &mut Rng, lens: &[usize], m: usize, n: usize) {
+    let (lhs, rhs) = segmented_operands(rng, lens, m, n);
+    let segments = segments_of(lens);
+    for stride in [0, m * n] {
+        // `-0.0` outputs: a segment whose sum is `+0.0` turns them into
+        // `+0.0` only if its add really happens.
+        let len = (segments.len() - 1) * stride + m * n;
+        let mut want = vec![-0.0; len];
+        segmented_triple_loop(&lhs, m, &rhs, n, &segments, &mut want, stride);
+        for path in [KernelPath::Scalar].into_iter().chain(alt_paths()) {
+            let mut got = vec![-0.0; len];
+            kernel::with_path(path, || {
+                kernel::gemm_tn_segments(&lhs, m, &rhs, n, &segments, &mut got, stride)
+            });
+            let what = format!("{path:?} {m}x{n} segments {lens:?} stride {stride}");
+            assert_bits_eq(&got, &want, &what);
+        }
+    }
+}
+
+#[test]
+fn segmented_tn_matches_the_triple_loop_for_every_width_and_segment_length() {
+    let mut rng = Rng::new(41);
+    let lens: Vec<usize> = (1..=9).collect();
+    for m in [1, 2, 3, 4, 5, 7, 8, 9, 17] {
+        for n in 1..=17 {
+            check_segmented(&mut rng, &lens, m, n);
+            // One-row segments, and an empty one (a skipped block).
+            check_segmented(&mut rng, &[1, 1, 0, 1], m, n);
+        }
+    }
+}
+
+#[test]
+fn segmented_tn_matches_the_triple_loop_on_the_traffic_shapes() {
+    let mut rng = Rng::new(43);
+    // Attention and FFN weights from 7-token samples; embeddings; the
+    // heads from one-row samples (PatchTST, NLinear).
+    for (m, n, rows) in [
+        (24, 24, 7),
+        (24, 48, 7),
+        (48, 24, 7),
+        (6, 24, 7),
+        (168, 36, 1),
+        (104, 36, 1),
+    ] {
+        check_segmented(&mut rng, &[rows; 4], m, n);
+    }
+}
+
+#[test]
+fn segmented_column_sums_match_the_loops() {
+    let mut rng = Rng::new(47);
+    for n in 1..=17 {
+        for lens in [vec![1usize, 2, 3, 4, 5, 6, 7, 8, 9], vec![1, 0, 1, 1]] {
+            let rows: usize = lens.iter().sum();
+            let segments = segments_of(&lens);
+            let mut x = rng.vec(rows * n, true);
+            let y = rng.vec(rows * n, true);
+            // A zero left value against an infinite right one: no skip
+            // here, so the NaN must reach the sum on every path.
+            if rows > 2 {
+                x[n] = f64::INFINITY;
+            }
+            for stride in [0, n] {
+                let len = (segments.len() - 1) * stride + n;
+                let (mut want_sum, mut want_dot) = (vec![-0.0; len], vec![-0.0; len]);
+                for (g, seg) in segments.iter().enumerate() {
+                    for j in 0..n {
+                        let (mut s, mut d) = (0.0, 0.0);
+                        for r in seg.clone() {
+                            s += x[r * n + j];
+                            d += x[r * n + j] * y[r * n + j];
+                        }
+                        want_sum[g * stride + j] += s;
+                        want_dot[g * stride + j] += d;
+                    }
+                }
+                let (mut sum, mut dot) = (vec![-0.0; len], vec![-0.0; len]);
+                kernel::col_sum_segments(&x, n, &segments, &mut sum, stride);
+                kernel::col_dot_segments(&x, &y, n, &segments, &mut dot, stride);
+                let what = format!("n {n} segments {lens:?} stride {stride}");
+                assert_bits_eq(&sum, &want_sum, &format!("col_sum {what}"));
+                assert_bits_eq(&dot, &want_dot, &format!("col_dot {what}"));
+            }
         }
     }
 }

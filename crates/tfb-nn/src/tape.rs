@@ -83,9 +83,21 @@ enum Op {
     Reshape(usize),
 }
 
-/// Op kind names, in [`Op::kind`] order: the `<kind>` of the
-/// `nn/op/<kind>_{nodes,visits,elems}` counters.
-const OP_KINDS: [&str; 19] = [
+/// One name per op kind, in [`Op::kind`] order, and the
+/// `nn/op/<kind>_{nodes,visits,elems}` counters those names key.
+macro_rules! op_kinds {
+    ($($kind:literal),* $(,)?) => {
+        const OP_KINDS: [&str; [$($kind),*].len()] = [$($kind),*];
+
+        static OP_COUNTERS: [[tfb_obs::Counter; 3]; OP_KINDS.len()] = [$([
+            tfb_obs::Counter::new(concat!("nn/op/", $kind, "_nodes")),
+            tfb_obs::Counter::new(concat!("nn/op/", $kind, "_visits")),
+            tfb_obs::Counter::new(concat!("nn/op/", $kind, "_elems")),
+        ]),*];
+    };
+}
+
+op_kinds!(
     "leaf",
     "matmul",
     "add",
@@ -105,7 +117,7 @@ const OP_KINDS: [&str; 19] = [
     "avg_pool_rows",
     "causal_conv1d",
     "reshape",
-];
+);
 
 impl Op {
     /// Index of this op's name in [`OP_KINDS`].
@@ -246,45 +258,7 @@ pub struct OpTally {
     pub elems: [u64; OP_KINDS.len()],
 }
 
-/// One `[nodes, visits, elems]` counter triple per op kind.
-macro_rules! op_counters {
-    ($($kind:literal),* $(,)?) => {
-        [$([
-            tfb_obs::Counter::new(concat!("nn/op/", $kind, "_nodes")),
-            tfb_obs::Counter::new(concat!("nn/op/", $kind, "_visits")),
-            tfb_obs::Counter::new(concat!("nn/op/", $kind, "_elems")),
-        ]),*]
-    };
-}
-
-static OP_COUNTERS: [[tfb_obs::Counter; 3]; OP_KINDS.len()] = op_counters!(
-    "leaf",
-    "matmul",
-    "add",
-    "sub",
-    "mul_elem",
-    "scale",
-    "add_row_broadcast",
-    "mul_row_broadcast",
-    "relu",
-    "tanh",
-    "sigmoid",
-    "softmax_rows",
-    "transpose",
-    "mean_all",
-    "concat_cols",
-    "layer_norm_rows",
-    "avg_pool_rows",
-    "causal_conv1d",
-    "reshape",
-);
-
 impl OpTally {
-    /// The name of kind `i`.
-    pub fn kind_name(i: usize) -> &'static str {
-        OP_KINDS[i]
-    }
-
     /// Adds every non-zero count to its `nn/op/<kind>_{nodes,visits,elems}`
     /// counter.
     pub fn add_to_counters(&self) {
@@ -522,11 +496,6 @@ impl Tape {
     /// Shape of one block of a tensor.
     pub fn shape(&self, t: TensorRef) -> (usize, usize) {
         (self.nodes[t.0].rows, self.nodes[t.0].cols)
-    }
-
-    /// How many blocks a tensor holds.
-    pub fn blocks(&self, t: TensorRef) -> usize {
-        self.nodes[t.0].blocks
     }
 
     fn full_shape(&self, t: TensorRef) -> (usize, usize, usize) {
@@ -914,9 +883,6 @@ impl Tape {
         let wants = |p: usize| nodes[p].needs_grad;
         let to_store = |p: usize| sink(nodes, loads, p);
         let live_blocks = || (0..nb).filter(|&s| live[s]);
-        // Block `s` of input `p`'s gradient (a slab's block for a shared
-        // parameter leaf), with the block `s` of `p`'s value.
-        let gsize = |p: usize| nodes[p].size();
         // A single-input op that needs a gradient has an input that needs
         // one too; two-input ops check each side.
         match node.op {
@@ -1008,17 +974,17 @@ impl Tape {
                 }
             }
             Op::Sub(a, b) => {
-                for (p, sign) in [(a, 1.0), (b, -1.0)] {
+                for (p, negate) in [(a, false), (b, true)] {
                     if !wants(p) {
                         continue;
                     }
                     for s in live_blocks() {
                         let g = &mut grads[p][s * size..(s + 1) * size];
                         for (g, &d) in g.iter_mut().zip(&grad[s * size..(s + 1) * size]) {
-                            if sign > 0.0 {
-                                *g += d;
-                            } else {
+                            if negate {
                                 *g -= d;
+                            } else {
+                                *g += d;
                             }
                         }
                     }
@@ -1168,7 +1134,7 @@ impl Tape {
                 }
             }
             Op::MeanAll(a) => {
-                let sa = gsize(a);
+                let sa = nodes[a].size();
                 for s in live_blocks() {
                     let d = grad[s] / sa as f64;
                     for g in grads[a][s * sa..(s + 1) * sa].iter_mut() {

@@ -1,6 +1,14 @@
 //! Mini-batch training with Adam, L2 loss and validation-based early
 //! stopping — the training protocol of the paper's experimental setup
 //! (Section 5.1.2), scaled to CPU.
+//!
+//! Each shuffled mini-batch runs as blocked tape graphs of up to
+//! [`CHUNK`] samples (see [`crate::tape`]): the model's forward is
+//! written for one sample and runs on the whole chunk, the loss of every
+//! sample keeps the mini-batch's `1 / len` scale, and the backward pass
+//! adds each sample's parameter gradients into the store in sample
+//! order. The Adam step runs once per mini-batch, after all its chunks,
+//! so a fit is bit for bit the one-graph-per-sample fit.
 
 use crate::optim::{Adam, ParamStore};
 use crate::tape::{Tape, TensorRef};
